@@ -31,20 +31,21 @@ from .descriptors import (
     shift2d_from_descriptor,
     shift2d_to_descriptor,
 )
-from .embed import (
-    StallReport,
-    classical_embed,
-    poly_embed,
-    recover_densities,
-    spherical_embed_iterative,
-    spherical_embed_measure,
-)
+from .embed import EmbeddingSpec, StallReport, recover_densities
 from .errors import DenominatorLimitExceeded, DescriptorError, ShiftLabError
 from .exactcore import RationalPolynomial, as_rational, format_rational
 from .fixtures import run_all
 from .measures import marginal, pushforward_atomic, pushforward_moments
-from .shift1d import curto_park_measures, detect_recursion, k_hyponormal, power_decompose
+from .shift1d import (
+    DEFAULT_WINDOW_1D,
+    curto_park_measures,
+    detect_recursion,
+    k_hyponormal,
+    power_decompose,
+)
 from .shift2d import (
+    DEFAULT_WINDOW_2D,
+    grid_reach,
     k_hyponormal_2v,
     moments,
     power_components,
@@ -56,8 +57,6 @@ from .shift2d import (
 from .threshold import bisect_threshold, query_from_descriptor
 
 DENOM_BITS_ENV = "SHIFTLAB_MAX_DENOM_BITS"
-DEFAULT_WINDOW_1D = 25
-DEFAULT_WINDOW_2D = 15
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +173,8 @@ def run_command(func):
     return wrapper
 
 
-def format_options(func):
-    func = click.option("--csv", "as_csv", is_flag=True, help="Emit CSV instead of JSON.")(func)
-    func = click.option("--json", "as_json", is_flag=True, default=True,
-                        help="Emit JSON (default).")(func)
-    return func
-
-
-def _grid_shift(data, grid_window):
-    """Materialize a 2-variable shift with a grid large enough for the run."""
-    return shift2d_from_descriptor(data, window=grid_window)
+format_options = click.option("--csv", "as_csv", is_flag=True,
+                              help="Emit CSV instead of JSON.")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +193,7 @@ def main():
 @click.option("--count", default=10, show_default=True)
 @format_options
 @run_command
-def moments1(shift_file, count, as_csv, as_json):
+def moments1(shift_file, count, as_csv):
     """Moments of a 1-variable shift."""
     data = _load(shift_file)
     shift = shift1d_from_descriptor(data)
@@ -220,10 +211,10 @@ def moments1(shift_file, count, as_csv, as_json):
 @click.option("--window", default=8, show_default=True)
 @format_options
 @run_command
-def moments2(shift_file, window, as_csv, as_json):
+def moments2(shift_file, window, as_csv):
     """Moment table of a 2-variable shift."""
     data = _load(shift_file)
-    shift = _grid_shift(data, window + 1)
+    shift = shift2d_from_descriptor(data, window=window + 1)
     table = moments(shift, window)
     return {
         "command": "moments2",
@@ -239,7 +230,7 @@ def moments2(shift_file, window, as_csv, as_json):
 @click.option("--window", default=DEFAULT_WINDOW_1D, show_default=True)
 @format_options
 @run_command
-def khypo1(shift_file, k, window, as_csv, as_json):
+def khypo1(shift_file, k, window, as_csv):
     """Exact k-hyponormality of a 1-variable shift on a base-point window."""
     data = _load(shift_file)
     verdict = k_hyponormal(shift1d_from_descriptor(data), k, window)
@@ -260,22 +251,20 @@ def khypo1(shift_file, k, window, as_csv, as_json):
               help="Test one sublattice component, as m,n,p,q.")
 @format_options
 @run_command
-def khypo2(shift_file, k, window, power, restriction, as_csv, as_json):
+def khypo2(shift_file, k, window, power, restriction, as_csv):
     """Exact k-hyponormality of a 2-variable shift (or a power/restriction)."""
     data = _load(shift_file)
     power = _int_tuple(power, "power", 2)
     restriction = _int_tuple(restriction, "restriction", 4)
-    need = window + 2 * k + 1
+    shift = shift2d_from_descriptor(
+        data, window=grid_reach(k, window, power, restriction)
+    )
     if restriction is not None:
-        m, n, p, q = restriction
-        shift = _grid_shift(data, max(m * need + p, n * need + q) + 1)
-        targets = [restrict(shift, m, n, p, q)]
+        targets = [restrict(shift, *restriction)]
     elif power is not None:
-        m, n = power
-        shift = _grid_shift(data, max(m * need + m - 1, n * need + n - 1) + 1)
-        targets = power_components(shift, m, n)
+        targets = power_components(shift, *power)
     else:
-        targets = [_grid_shift(data, need)]
+        targets = [shift]
     verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
     holds = all(v.holds for v in verdicts)
     return {
@@ -296,10 +285,11 @@ def khypo2(shift_file, k, window, power, restriction, as_csv, as_json):
 @click.option("--window", default=DEFAULT_WINDOW_2D, show_default=True)
 @format_options
 @run_command
-def sixpoint(shift_file, window, as_csv, as_json):
-    """Floating-point hyponormality screen (advisory; exact on boundaries)."""
+def sixpoint(shift_file, window, as_csv):
+    """Exact six-point hyponormality test of the self-commutator matrices."""
     data = _load(shift_file)
-    verdict = six_point(_grid_shift(data, window + 3), window)
+    shift = shift2d_from_descriptor(data, window=grid_reach(1, window))
+    verdict = six_point(shift, window)
     return {
         "command": "sixpoint",
         "inputs": {"shift": data},
@@ -323,71 +313,58 @@ def sixpoint(shift_file, window, as_csv, as_json):
 @format_options
 @run_command
 def embed_cmd(kind, spec_file, base_file, row0_file, p_text, q_text, c_text, window,
-              as_csv, as_json):
+              as_csv):
     """Build a 2-variable embedding and emit its squared-weight grids."""
     if spec_file is not None:
         data = _load(spec_file)
+        inputs = {"spec": data}
         spec = embedding_from_descriptor(data)
-        grid = spec.build(window)
-        if isinstance(grid, StallReport):
-            return {
-                "command": "embed",
-                "inputs": {"spec": data},
-                "params": {"window": window},
-                "result": {"stalled": grid},
-            }, False
-        return {
-            "command": "embed",
-            "inputs": {"spec": data},
-            "params": {"window": window},
-            "result": {"shift": shift2d_to_descriptor(grid)},
-        }, True
+    else:
+        inputs, spec = _flag_embedding(
+            kind, window, base_file, row0_file, p_text, q_text, c_text
+        )
+    grid = spec.build(window)
+    if isinstance(grid, StallReport):
+        result, ok = {"stalled": grid}, False
+    else:
+        result, ok = {"shift": shift2d_to_descriptor(grid)}, True
+    return {
+        "command": "embed",
+        "inputs": inputs,
+        "params": {"window": window},
+        "result": result,
+    }, ok
+
+
+def _flag_embedding(kind, window, base_file, row0_file, p_text, q_text, c_text):
+    """The embedding named by the individual ``embed`` flags, with its inputs."""
     if kind is None:
         raise DescriptorError("embed needs --kind or --spec")
     inputs = {"kind": kind, "window": window}
     if kind == "classical":
         if base_file is None:
             raise DescriptorError("--base (a 1-variable shift descriptor) is required")
-        data = _load(base_file)
-        inputs["base"] = data
-        grid = classical_embed(shift1d_from_descriptor(data), window)
-    elif kind == "poly":
+        inputs["base"] = _load(base_file)
+        return inputs, EmbeddingSpec("classical", shift1d_from_descriptor(inputs["base"]))
+    if kind == "poly":
         if base_file is None or p_text is None or q_text is None:
             raise DescriptorError("--base, --p and --q are required for a poly embedding")
-        data = _load(base_file)
-        inputs["base"] = data
-        grid = poly_embed(
-            measure1d_from_descriptor(data),
-            _coeffs(p_text, "p"),
-            _coeffs(q_text, "q"),
-            window,
+        inputs["base"] = _load(base_file)
+        sigma = measure1d_from_descriptor(inputs["base"])
+        return inputs, EmbeddingSpec(
+            "poly", sigma, p=_coeffs(p_text, "p"), q=_coeffs(q_text, "q")
         )
+    c = _rational_option(c_text, "c")
+    inputs["c"] = c
+    if row0_file is not None:
+        inputs["row0"] = _load(row0_file)
+        source = shift1d_from_descriptor(inputs["row0"])
+    elif base_file is not None:
+        inputs["base"] = _load(base_file)
+        source = measure1d_from_descriptor(inputs["base"])
     else:
-        c = _rational_option(c_text, "c")
-        inputs["c"] = c
-        if row0_file is not None:
-            data = _load(row0_file)
-            inputs["row0"] = data
-            grid = spherical_embed_iterative(shift1d_from_descriptor(data), c, window)
-        elif base_file is not None:
-            data = _load(base_file)
-            inputs["base"] = data
-            grid = spherical_embed_measure(measure1d_from_descriptor(data), c, window)
-        else:
-            raise DescriptorError("spherical embedding needs --row0 or --base")
-    if isinstance(grid, StallReport):
-        return {
-            "command": "embed",
-            "inputs": inputs,
-            "params": {"window": window},
-            "result": {"stalled": grid},
-        }, False
-    return {
-        "command": "embed",
-        "inputs": inputs,
-        "params": {"window": window},
-        "result": {"shift": shift2d_to_descriptor(grid)},
-    }, True
+        raise DescriptorError("spherical embedding needs --row0 or --base")
+    return inputs, EmbeddingSpec("spherical", source, c=c)
 
 
 @main.command("restrict")
@@ -400,7 +377,7 @@ def embed_cmd(kind, spec_file, base_file, row0_file, p_text, q_text, c_text, win
               help="Grid window used to materialize named shifts.")
 @format_options
 @run_command
-def restrict_cmd(shift_file, m, n, p, q, window, as_csv, as_json):
+def restrict_cmd(shift_file, m, n, p, q, window, as_csv):
     """Sublattice restriction: the (p,q)-component of the (m,n) power."""
     data = _load(shift_file)
     shift = shift2d_from_descriptor(data, window=window)
@@ -422,11 +399,10 @@ def restrict_cmd(shift_file, m, n, p, q, window, as_csv, as_json):
               help="Base-point bound for each component test.")
 @format_options
 @run_command
-def power_cmd(shift_file, m, n, k, window, as_csv, as_json):
+def power_cmd(shift_file, m, n, k, window, as_csv):
     """k-hyponormality of every component of the (m,n) power."""
     data = _load(shift_file)
-    need = window + 2 * k + 1
-    shift = _grid_shift(data, max(m * need + m - 1, n * need + n - 1) + 1)
+    shift = shift2d_from_descriptor(data, window=grid_reach(k, window, power=(m, n)))
     verdicts = [k_hyponormal_2v(part, k, window) for part in power_components(shift, m, n)]
     holds = all(v.holds for v in verdicts)
     return {
@@ -448,7 +424,7 @@ def power_cmd(shift_file, m, n, k, window, as_csv, as_json):
 @click.option("--window", default=10, show_default=True)
 @format_options
 @run_command
-def decompose(shift_file, m, window, as_csv, as_json):
+def decompose(shift_file, m, window, as_csv):
     """Orthogonal summands of the m-th power of a 1-variable shift."""
     data = _load(shift_file)
     parts = power_decompose(shift1d_from_descriptor(data), m, window)
@@ -465,7 +441,7 @@ def decompose(shift_file, m, window, as_csv, as_json):
 @click.option("--m", required=True, type=int)
 @format_options
 @run_command
-def curto_park(measure_file, m, as_csv, as_json):
+def curto_park(measure_file, m, as_csv):
     """Component measures of the m-th power of an atomic-measure shift."""
     data = _load(measure_file)
     sigma = measure1d_from_descriptor(data)
@@ -489,7 +465,7 @@ def curto_park(measure_file, m, as_csv, as_json):
 @click.option("--max-order", default=5, show_default=True)
 @format_options
 @run_command
-def recursion(moments_text, shift_file, count, max_order, as_csv, as_json):
+def recursion(moments_text, shift_file, count, max_order, as_csv):
     """Detect the minimal linear recursion of a moment sequence."""
     if moments_text is not None:
         values = [as_rational(piece.strip()) for piece in moments_text.split(",")]
@@ -529,7 +505,7 @@ def recursion(moments_text, shift_file, count, max_order, as_csv, as_json):
               help="Moment window emitted for non-atomic bases.")
 @format_options
 @run_command
-def pushforward(measure_file, p_text, q_text, window, as_csv, as_json):
+def pushforward(measure_file, p_text, q_text, window, as_csv):
     """Image of a 1-variable measure under r -> (p(r), q(r))."""
     data = _load(measure_file)
     sigma = measure1d_from_descriptor(data)
@@ -559,7 +535,7 @@ def pushforward(measure_file, p_text, q_text, window, as_csv, as_json):
 @click.option("--axis", type=click.Choice(["x", "y"]), required=True)
 @format_options
 @run_command
-def marginal_cmd(measure_file, axis, as_csv, as_json):
+def marginal_cmd(measure_file, axis, as_csv):
     """Coordinate marginal of a planar atomic measure."""
     data = _load(measure_file)
     mu = measure2d_from_descriptor(data)
@@ -581,7 +557,7 @@ def marginal_cmd(measure_file, axis, as_csv, as_json):
 @click.option("--window", default=None, type=int)
 @format_options
 @run_command
-def recover(shift_file, atoms_text, window, as_csv, as_json):
+def recover(shift_file, atoms_text, window, as_csv):
     """Recover the atomic measure of a constant-sum grid from its atoms."""
     data = _load(shift_file)
     shift = shift2d_from_descriptor(data, window=window)
@@ -600,7 +576,7 @@ def recover(shift_file, atoms_text, window, as_csv, as_json):
 @click.option("--window", default=None, type=int)
 @format_options
 @run_command
-def spherical_check_cmd(shift_file, window, as_csv, as_json):
+def spherical_check_cmd(shift_file, window, as_csv):
     """Constant weight-sum check; reports the constant when it exists."""
     data = _load(shift_file)
     shift = shift2d_from_descriptor(data, window=None if window is None else window + 2)
@@ -627,7 +603,7 @@ def spherical_check_cmd(shift_file, window, as_csv, as_json):
 @format_options
 @run_command
 def threshold(family_file, op, k, window, power, restriction, precision, candidate,
-              as_csv, as_json):
+              as_csv):
     """Bisect a monotone positivity threshold over the family parameter."""
     data = _load(family_file)
     query = query_from_descriptor(

@@ -8,6 +8,7 @@ JSON-path diagnostic.
 
 from __future__ import annotations
 
+from .embed import EmbeddingSpec, classical_embed
 from .errors import DescriptorError
 from .exactcore import RationalPolynomial, as_rational, format_rational
 from .measures import (
@@ -73,6 +74,13 @@ def _require(data, key, path):
     return data[key]
 
 
+def _require_int(data, key, path):
+    value = _require(data, key, path)
+    if not isinstance(value, int):
+        raise DescriptorError(f"field {key!r} must be an integer", path)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Measures
 # ---------------------------------------------------------------------------
@@ -90,10 +98,7 @@ def measure1d_from_descriptor(data, path="$"):
     if kind == "lebesgue01":
         return Lebesgue01()
     if kind == "beta":
-        j = _require(data, "j", path)
-        if not isinstance(j, int):
-            raise DescriptorError("field 'j' must be an integer", path)
-        return BetaFamily(j)
+        return BetaFamily(_require_int(data, "j", path))
     if kind == "prefix_table":
         return PrefixTable(
             _rational_list(_require(data, "moments", path), f"{path}.moments"),
@@ -178,7 +183,7 @@ def measure_to_descriptor(measure):
 _NAMED_SHIFTS = {
     "bergman": lambda data, path: bergman(),
     "unweighted": lambda data, path: unweighted(),
-    "agler": lambda data, path: agler(_require(data, "j", path)),
+    "agler": lambda data, path: agler(_require_int(data, "j", path)),
     "flat": lambda data, path: flat_shift(
         _rational(_require(data, "first_weight_sq", path), f"{path}.first_weight_sq")
     ),
@@ -280,8 +285,6 @@ def shift2d_from_descriptor(data, path="$", window=None) -> Shift2D:
     if kind == "helton_howe":
         return helton_howe(size)
     if kind == "classical":
-        from .embed import classical_embed
-
         base = shift1d_from_descriptor(_require(data, "base", path), f"{path}.base")
         return classical_embed(base, size)
     if kind == "generator":
@@ -306,8 +309,6 @@ def embedding_from_descriptor(data, path="$"):
     "q":[...],"base":<measure>}, {"kind":"spherical","c":"1","row0":<shift>}
     or {"kind":"spherical","c":"1","base":<measure>}.
     """
-    from .embed import EmbeddingSpec
-
     kind = _require(data, "kind", path)
     if kind == "classical":
         return EmbeddingSpec(

@@ -466,11 +466,6 @@ def psd_test(matrix: SymMatrix) -> PsdVerdict:
     )
 
 
-def determinant(matrix: SymMatrix) -> Fraction:
-    """Exact determinant (the top certificate coefficient)."""
-    return psd_test(matrix).certificate[-1]
-
-
 def _det_rows(rows) -> Fraction:
     """Plain exact Gaussian elimination determinant (independent of psd_test)."""
     n = len(rows)

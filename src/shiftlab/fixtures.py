@@ -40,6 +40,7 @@ from .shift1d import (
 )
 from .shift2d import (
     corner_restrict,
+    grid_reach,
     k_hyponormal_2v,
     moments,
     power_components,
@@ -74,7 +75,7 @@ def rank_one_threshold_fixture() -> list:
     under the diagonal embedding, and of its (2,3) sublattice restriction."""
     out = []
     for k, boundary in ((1, F(2, 3)), (2, F(9, 16)), (3, F(8, 15))):
-        window = EMBEDDING_WINDOW + 2 * k + 1
+        window = grid_reach(k, EMBEDDING_WINDOW)
         at = k_hyponormal_2v(
             classical_embed(bergman_rank_one(boundary), window), k, EMBEDDING_WINDOW
         )
@@ -90,7 +91,7 @@ def rank_one_threshold_fixture() -> list:
                 f"PSD at {boundary}, first failure above at base {above.first_failure}",
             )
         )
-    window = max(2, 3) * (EMBEDDING_WINDOW + 2 * 2 + 1) + 1
+    window = grid_reach(2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
     boundary = F(49, 90)
     at = k_hyponormal_2v(
         restrict(classical_embed(bergman_rank_one(boundary), window), 2, 3, 0, 0),
@@ -116,7 +117,7 @@ def restriction_gap_fixture() -> FixtureResult:
     """Inside (49/90, 9/16] the embedding is 2-hyponormal while its (2,3)
     restriction is not; checked at x = 5/9."""
     x = F(5, 9)
-    window = 3 * (EMBEDDING_WINDOW + 5) + 1
+    window = grid_reach(2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
     embedding = classical_embed(bergman_rank_one(x), window)
     whole = k_hyponormal_2v(embedding, 2, EMBEDDING_WINDOW)
     part = k_hyponormal_2v(restrict(embedding, 2, 3, 0, 0), 2, EMBEDDING_WINDOW)
@@ -135,15 +136,14 @@ def flat_head_power_fixture() -> list:
     x = F(3, 5)
     out = []
     base = flat_head_bergman(x)
-    embedding = classical_embed(base, EMBEDDING_WINDOW + 3)
+    embedding = classical_embed(base, grid_reach(1, EMBEDDING_WINDOW))
     out.append(
         _result(
             "flat-head embedding passes k=1",
             k_hyponormal_2v(embedding, 1, EMBEDDING_WINDOW).holds,
         )
     )
-    need = COMPONENT_WINDOW + 2 * 1 + 1
-    wide = classical_embed(base, 3 * need + 3)
+    wide = classical_embed(base, grid_reach(1, COMPONENT_WINDOW, power=(2, 3)))
     failing = [
         pq
         for pq, part in zip(
@@ -159,10 +159,10 @@ def flat_head_power_fixture() -> list:
             f"failing components {failing}",
         )
     )
-    need2 = COMPONENT_WINDOW + 2 * 2 + 1
+    square = classical_embed(base, grid_reach(2, COMPONENT_WINDOW, power=(2, 2)))
     square_power_failing = any(
         not k_hyponormal_2v(part, 2, COMPONENT_WINDOW).holds
-        for part in power_components(classical_embed(base, 2 * need2 + 2), 2, 2)
+        for part in power_components(square, 2, 2)
     )
     out.append(
         _result(
@@ -170,7 +170,11 @@ def flat_head_power_fixture() -> list:
             square_power_failing,
         )
     )
-    corner_source = classical_embed(base, 4 * need2 + 6)
+    # the (1,1) corner is one step smaller than its source and must host the
+    # (4,4) power sweep, the widest one below
+    corner_source = classical_embed(
+        base, grid_reach(2, COMPONENT_WINDOW, power=(4, 4)) + 1
+    )
     corner = corner_restrict(corner_source, 1, 1)
     out.append(
         _result(
@@ -340,15 +344,16 @@ def hyponormality_agreement_suite(seed=0, count=20) -> FixtureResult:
     perturbations of them."""
     rng = random.Random(seed)
     window = 8
+    grid = grid_reach(3, window)  # the k = 3 sweep reaches farthest
     mismatches = []
     for trial in range(count):
         sigma = _random_atomic(rng, rng.randint(2, 4), F(1, 20), F(1))
-        prefix = from_measure(sigma).weights_sq(2 * (window + 7) - 1)
+        prefix = from_measure(sigma).weights_sq(2 * grid - 1)
         if trial % 3 == 2:
             # bump the first weight; agreement must also hold on failures
             prefix[0] *= 1 + F(rng.randint(1, 6), 10)
         shift = Shift1D(tuple(prefix))
-        embedding = classical_embed(shift, window + 7)
+        embedding = classical_embed(shift, grid)
         for k in (1, 2, 3):
             one = k_hyponormal(shift, k, window).holds
             two = k_hyponormal_2v(embedding, k, window).holds

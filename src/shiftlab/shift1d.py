@@ -26,6 +26,8 @@ from .exactcore import (
 )
 from .measures import AtomicMeasure1D
 
+DEFAULT_WINDOW_1D = 25  # base-point sweep bound for Hankel positivity tests
+
 
 @dataclass(frozen=True)
 class RationalWeightRule:
@@ -178,7 +180,9 @@ def hankel_matrix(moments: Sequence, order: int, base: int = 0) -> SymMatrix:
     )
 
 
-def k_hyponormal(shift: Shift1D, k: int, window: int = 25) -> HyponormalityVerdict:
+def k_hyponormal(
+    shift: Shift1D, k: int, window: int = DEFAULT_WINDOW_1D
+) -> HyponormalityVerdict:
     """Test k-hyponormality on base points u = 0..window.
 
     The criterion is exact PSD-ness of the Hankel moment matrix

@@ -12,14 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .errors import CommutativityViolation, WindowTooSmall
 from .exactcore import PsdVerdict, RationalPolynomial, SymMatrix, as_rational, psd_test
 from .shift1d import RationalWeightRule, Shift1D
 
-SIX_POINT_PRECISION_BITS = 96
-SIX_POINT_BOUNDARY = mpmath.mpf("1e-12")
+DEFAULT_WINDOW_2D = 15  # base-point sweep bound u1 + u2 <= 15
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +243,33 @@ class Hyponormality2VVerdict:
     certificate: Optional[PsdVerdict]
 
 
+def grid_reach(k: int, window: int, power=None, restriction=None) -> int:
+    """Grid size a k-hyponormality sweep over u1 + u2 <= window needs.
+
+    The sweep reads moments up to window + 2k, so the grid extends one step
+    further. A restriction (m, n, p, q) reaches that far in its own steps,
+    each m (or n) grid steps long; a power (m, n) reaches as far as its
+    farthest component, (m - 1, n - 1).
+    """
+    need = window + 2 * k + 1
+    if restriction is None and power is not None:
+        m, n = power
+        restriction = (m, n, m - 1, n - 1)
+    if restriction is None:
+        return need
+    m, n, p, q = restriction
+    return max(m * need + p, n * need + q) + 1
+
+
 def _base_points(window: int):
     for total in range(window + 1):
         for u1 in range(total + 1):
             yield (u1, total - u1)
 
 
-def k_hyponormal_2v(shift: Shift2D, k: int, window: int = 15) -> Hyponormality2VVerdict:
+def k_hyponormal_2v(
+    shift: Shift2D, k: int, window: int = DEFAULT_WINDOW_2D
+) -> Hyponormality2VVerdict:
     """Exact k-hyponormality over base points with u1 + u2 <= window.
 
     Builds the order-(k+1)(k+2)/2 moment matrix at each base point and
@@ -273,43 +290,29 @@ class SixPointVerdict:
     holds: bool
     window: int
     first_failure: Optional[tuple]
-    boundary_deferrals: tuple
 
 
-def six_point(shift: Shift2D, window: int = 15) -> SixPointVerdict:
-    """Hyponormality screen via the 2x2 self-commutator matrix at each point.
+def six_point(shift: Shift2D, window: int = DEFAULT_WINDOW_2D) -> SixPointVerdict:
+    """Hyponormality via the 2x2 self-commutator matrix at each point.
 
-    The off-diagonal entries involve square roots, so the determinant is
-    evaluated in high-precision floating point; determinants within 1e-12 of
-    zero are classified as boundary cases and deferred to the exact k = 1
-    moment-matrix test at that base point. Advisory only.
+    At k the matrix has diagonal a11, a22 (the weight increments) and
+    off-diagonal sqrt(X) - sqrt(Y) with X = alpha_sq(k+e2) beta_sq(k+e1) and
+    Y = alpha_sq(k) beta_sq(k). Its determinant a11 a22 - (sqrt(X) - sqrt(Y))^2
+    is nonnegative iff R = X + Y - a11 a22 satisfies R <= 0 or 4XY >= R^2,
+    which decides the test exactly in rationals.
     """
-    deferrals = []
-    exact_table = None
-    with mpmath.workprec(SIX_POINT_PRECISION_BITS):
-        for point in _base_points(window):
-            k1, k2 = point
-            a11 = shift.alpha_sq(k1 + 1, k2) - shift.alpha_sq(k1, k2)
-            a22 = shift.beta_sq(k1, k2 + 1) - shift.beta_sq(k1, k2)
-            if a11 < 0 or a22 < 0:
-                return SixPointVerdict(False, window, point, tuple(deferrals))
-            cross = shift.alpha_sq(k1, k2 + 1) * shift.beta_sq(k1 + 1, k2)
-            base = shift.alpha_sq(k1, k2) * shift.beta_sq(k1, k2)
-            off = mpmath.sqrt(_to_mpf(cross)) - mpmath.sqrt(_to_mpf(base))
-            det = _to_mpf(a11) * _to_mpf(a22) - off * off
-            if abs(det) < SIX_POINT_BOUNDARY:
-                deferrals.append(point)
-                if exact_table is None:
-                    exact_table = moments(shift, window + 2)
-                if not psd_test(moment_matrix(exact_table, point, 1)).is_psd:
-                    return SixPointVerdict(False, window, point, tuple(deferrals))
-            elif det < 0:
-                return SixPointVerdict(False, window, point, tuple(deferrals))
-    return SixPointVerdict(True, window, None, tuple(deferrals))
-
-
-def _to_mpf(q: Fraction):
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+    for point in _base_points(window):
+        k1, k2 = point
+        a11 = shift.alpha_sq(k1 + 1, k2) - shift.alpha_sq(k1, k2)
+        a22 = shift.beta_sq(k1, k2 + 1) - shift.beta_sq(k1, k2)
+        if a11 < 0 or a22 < 0:
+            return SixPointVerdict(False, window, point)
+        x = shift.alpha_sq(k1, k2 + 1) * shift.beta_sq(k1 + 1, k2)
+        y = shift.alpha_sq(k1, k2) * shift.beta_sq(k1, k2)
+        r = x + y - a11 * a22
+        if r > 0 and 4 * x * y < r * r:
+            return SixPointVerdict(False, window, point)
+    return SixPointVerdict(True, window, None)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +364,8 @@ def power_components(shift: Shift2D, m: int, n: int) -> list:
     """All m*n sublattice components of the (m,n)-power, ordered row-major in
     (p, q). A property holds for the power iff it holds for every component.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"power exponents must be >= 1, got ({m},{n})")
     return [restrict(shift, m, n, p, q) for p in range(m) for q in range(n)]
 
 

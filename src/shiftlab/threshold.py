@@ -17,12 +17,17 @@ from .descriptors import shift1d_from_descriptor
 from .embed import classical_embed
 from .errors import DescriptorError, NotMonotone
 from .exactcore import as_rational, format_rational
-from .shift1d import k_hyponormal
-from .shift2d import k_hyponormal_2v, power_components, restrict, six_point
+from .shift1d import DEFAULT_WINDOW_1D, k_hyponormal
+from .shift2d import (
+    DEFAULT_WINDOW_2D,
+    grid_reach,
+    k_hyponormal_2v,
+    power_components,
+    restrict,
+    six_point,
+)
 
 PREDICATE_OPS = ("khypo1", "khypo2", "sixpoint")
-DEFAULT_WINDOW_1D = 25
-DEFAULT_WINDOW_2D = 15
 CANDIDATE_MARGIN = Fraction(1, 1000)
 
 
@@ -86,19 +91,6 @@ def substitute_parameter(obj, name: str, value: Fraction):
     return copy.copy(obj)
 
 
-def _embedding_window(query: ThresholdQuery, window: int) -> int:
-    # a k-hyponormality sweep over u1+u2 <= w reads moments to w + 2k, so the
-    # grid must extend one step further; restrictions multiply the reach
-    need = window + 2 * query.k + 1
-    if query.restriction is not None:
-        m, n, p, q = query.restriction
-        return max(m * need + p, n * need + q) + 1
-    if query.power is not None:
-        m, n = query.power
-        return max(m * need + m - 1, n * need + n - 1) + 1
-    return need
-
-
 def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
     descriptor = substitute_parameter(query.shift_template, query.parameter, x)
     shift = shift1d_from_descriptor(descriptor)
@@ -106,7 +98,9 @@ def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
         window = query.window if query.window is not None else DEFAULT_WINDOW_1D
         return k_hyponormal(shift, query.k, window).holds
     window = query.window if query.window is not None else DEFAULT_WINDOW_2D
-    embedding = classical_embed(shift, _embedding_window(query, window))
+    embedding = classical_embed(
+        shift, grid_reach(query.k, window, query.power, query.restriction)
+    )
     if query.restriction is not None:
         targets = [restrict(embedding, *query.restriction)]
     elif query.power is not None:

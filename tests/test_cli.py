@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+import shiftlab
 from shiftlab.cli import main
 
 
@@ -115,6 +117,32 @@ def test_khypo2_with_restriction(runner, files):
 def test_sixpoint(runner, files):
     result = runner.invoke(main, ["sixpoint", "--shift", files["sie"], "--window", "8"])
     assert result.exit_code == 0
+    assert _payload(result)["result"] == {"holds": True, "window": 8, "first_failure": None}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["power", "--m", "0", "--n", "1"],
+        ["power", "--m", "2", "--n", "-1"],
+        ["khypo2", "--power", "0,2"],
+    ],
+)
+def test_empty_power_is_an_error(runner, files, args):
+    result = runner.invoke(main, [args[0], "--shift", files["sie"], *args[1:], "--window", "3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+
+
+def test_agler_index_must_be_an_integer(runner, tmp_path):
+    path = tmp_path / "agler.json"
+    path.write_text(json.dumps({"kind": "agler", "j": "3"}))
+    result = runner.invoke(main, ["khypo1", "--shift", str(path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert "'j' must be an integer" in result.stderr
 
 
 def test_embed_spherical_matches_closed_form(runner, files):
@@ -281,6 +309,18 @@ def test_schema_error_exit_code(runner, tmp_path):
     assert "invalid JSON" in result.stderr
 
 
+def test_cli_import_leaves_out_mpmath():
+    src = os.path.dirname(os.path.dirname(shiftlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shiftlab.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "shiftlab.cli", "--version"],
@@ -302,3 +342,53 @@ def test_embed_with_spec_file(runner, tmp_path):
         ["2/3", "1/2", "2/5"],
         ["3/4", "3/5", "1/2"],
     ]
+
+
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (
+            ["--kind", "spherical", "--c", "1", "--row0", "bergman"],
+            {"kind": "spherical", "c": "1", "row0": {"kind": "bergman"}},
+        ),
+        (
+            ["--kind", "spherical", "--c", "6/5", "--base", "three_atoms"],
+            {
+                "kind": "spherical",
+                "c": "6/5",
+                "base": {
+                    "kind": "atomic1d",
+                    "atoms": ["1/3", "1/2", "1"],
+                    "densities": ["1/3", "1/3", "1/3"],
+                },
+            },
+        ),
+        (
+            ["--kind", "classical", "--base", "bergman"],
+            {"kind": "classical", "base": {"kind": "bergman"}},
+        ),
+        (
+            ["--kind", "poly", "--base", "three_atoms", "--p", "0,1", "--q", "1,-1"],
+            {
+                "kind": "poly",
+                "p": [0, 1],
+                "q": [1, -1],
+                "base": {
+                    "kind": "atomic1d",
+                    "atoms": ["1/3", "1/2", "1"],
+                    "densities": ["1/3", "1/3", "1/3"],
+                },
+            },
+        ),
+    ],
+)
+def test_embed_flags_and_spec_build_the_same_grid(runner, files, tmp_path, flags, spec):
+    flags = [files.get(arg, arg) for arg in flags]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    by_flags = runner.invoke(main, ["embed", *flags, "--window", "3"])
+    by_spec = runner.invoke(main, ["embed", "--spec", str(path), "--window", "3"])
+    assert by_flags.exit_code == by_spec.exit_code == 0
+    assert _payload(by_flags)["result"] == _payload(by_spec)["result"]
+    inputs = _payload(by_flags)["inputs"]
+    assert inputs["kind"] == spec["kind"] and inputs["window"] == 3

@@ -73,11 +73,21 @@ def test_recursion_transfers_from_power_components(m):
         assert original.found and original.atoms is not None
 
 
-# -- floating screen vs exact test ------------------------------------------------
+# -- six-point test vs the k = 1 moment-matrix test ---------------------------------
 
 
 @pytest.mark.parametrize(
-    "x", [F(1, 2), F(3, 5), F(2, 3), F(2, 3) + F(1, 100), F(3, 4)]
+    "x",
+    [
+        F(1, 2),
+        F(3, 5),
+        F(2, 3),
+        F(2, 3) + F(1, 100),
+        F(3, 4),
+        # the rank-one boundary and its closest neighbours
+        F(2, 3) - F(1, 10**9),
+        F(2, 3) + F(1, 10**9),
+    ],
 )
 def test_six_point_agrees_with_exact_k1(x):
     embedding = classical_embed(bergman_rank_one(x), 12)

@@ -11,6 +11,7 @@ from shiftlab.shift2d import (
     Shift2D,
     col,
     corner_restrict,
+    grid_reach,
     helton_howe,
     k_hyponormal_2v,
     moments,
@@ -78,9 +79,29 @@ def test_six_point_sie_bergman():
 
 
 def test_six_point_helton_howe_all_boundary():
-    verdict = six_point(helton_howe(10), 6)
-    assert verdict.holds
-    assert len(verdict.boundary_deferrals) > 0  # zero matrices sit on the boundary
+    shift = helton_howe(10)
+    verdict = six_point(shift, 6)
+    assert verdict.holds and verdict.first_failure is None
+    # every self-commutator matrix is zero: a11 = a22 = 0 and R^2 = 4XY, so
+    # the determinant sits exactly on the boundary at every base point
+    for k1 in range(7):
+        for k2 in range(7 - k1):
+            assert shift.alpha_sq(k1 + 1, k2) == shift.alpha_sq(k1, k2)
+            assert shift.beta_sq(k1, k2 + 1) == shift.beta_sq(k1, k2)
+            x = shift.alpha_sq(k1, k2 + 1) * shift.beta_sq(k1 + 1, k2)
+            y = shift.alpha_sq(k1, k2) * shift.beta_sq(k1, k2)
+            assert (x + y) ** 2 == 4 * x * y
+
+
+def test_six_point_steep_product_shift():
+    # alpha_sq = 4^k1, beta_sq = 4^k2: X = Y and a11 a22 > 2X, so R < 0 with
+    # R^2 > 4XY; the determinant is a11 a22 >= 0 and the test must pass
+    shift = Shift2D(
+        [[4**i for _ in range(8)] for i in range(8)],
+        [[4**j for j in range(8)] for _ in range(8)],
+    )
+    assert six_point(shift, 4).holds
+    assert k_hyponormal_2v(shift, 1, 4).holds
 
 
 def test_six_point_flat_head_family():
@@ -96,6 +117,30 @@ def test_six_point_flat_head_family():
 
 
 # -- exact k-hyponormality -------------------------------------------------------
+
+
+def test_grid_reach_values():
+    assert grid_reach(1, 15) == 18
+    assert grid_reach(2, 15, restriction=(2, 3, 0, 0)) == 61
+    assert grid_reach(1, 6, power=(2, 3)) == 30
+    assert grid_reach(2, 6, power=(2, 2)) == 24
+    # a restriction wins over a power, as in the CLI and threshold queries
+    assert grid_reach(1, 4, power=(3, 3), restriction=(1, 2, 0, 1)) == 16
+
+
+@pytest.mark.parametrize("k, window", [(1, 3), (2, 2)])
+def test_grid_reach_is_enough_and_tight(k, window):
+    base = bergman_rank_one(F(3, 5))
+    reach = grid_reach(k, window)
+    k_hyponormal_2v(classical_embed(base, reach), k, window)
+    with pytest.raises(WindowTooSmall):
+        k_hyponormal_2v(classical_embed(base, reach - 1), k, window)
+    for power in ((2, 3), (3, 1)):
+        grid = classical_embed(base, grid_reach(k, window, power=power))
+        for part in power_components(grid, *power):
+            k_hyponormal_2v(part, k, window)
+    grid = classical_embed(base, grid_reach(k, window, restriction=(2, 3, 1, 2)))
+    k_hyponormal_2v(restrict(grid, 2, 3, 1, 2), k, window)
 
 
 def test_khypo2_helton_howe():
@@ -168,6 +213,12 @@ def test_restrict_composition():
         for j in range(n):
             assert direct.alpha_sq(i, j) == staged.alpha_sq(i, j)
             assert direct.beta_sq(i, j) == staged.beta_sq(i, j)
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (2, 0), (-1, 2)])
+def test_power_components_reject_empty_powers(m, n):
+    with pytest.raises(ValueError):
+        power_components(helton_howe(8), m, n)
 
 
 def test_restrict_window_too_small():
