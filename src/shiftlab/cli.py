@@ -50,13 +50,16 @@ from .shift2d import (
     moments,
     power_components,
     restrict,
-    row as row_shift,
     six_point,
     spherical_check,
+    sweep_targets,
 )
 from .threshold import bisect_threshold, query_from_descriptor
 
 DENOM_BITS_ENV = "SHIFTLAB_MAX_DENOM_BITS"
+
+#: Failures a command reports as an ``error:`` line with exit code 1.
+REPORTED_ERRORS = (ShiftLabError, ValueError, ZeroDivisionError, IndexError)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +120,14 @@ def _emit(payload: dict, as_csv: bool):
         sys.stdout.write(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
+def _reject_float(text: str):
+    raise DescriptorError(f"floats are not accepted, got {text}")
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON in {path}: line {exc.lineno}, col {exc.colno}")
     except OSError as exc:
@@ -134,7 +141,7 @@ def _coeffs(text: str, name: str) -> RationalPolynomial:
         data = [piece.strip() for piece in text.split(",")]
     if not isinstance(data, list):
         raise DescriptorError(f"--{name} must be a coefficient list")
-    return RationalPolynomial(tuple(as_rational(c) for c in data))
+    return RationalPolynomial(tuple(_rational_option(c, name) for c in data))
 
 
 def _rational_option(text: str, name: str) -> Fraction:
@@ -162,7 +169,9 @@ def run_command(func):
             payload, ok = func(*args, **kwargs)
             elapsed = time.perf_counter() - started
             _emit(payload, kwargs.get("as_csv", False))
-        except (ShiftLabError, ValueError, ZeroDivisionError, IndexError) as exc:
+            # sys.exit's traceback keeps this frame, so drop the report now
+            del payload
+        except REPORTED_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         click.echo(f"elapsed_s={elapsed:.3f}", err=True)
@@ -259,12 +268,7 @@ def khypo2(shift_file, k, window, power, restriction, as_csv):
     shift = shift2d_from_descriptor(
         data, window=grid_reach(k, window, power, restriction)
     )
-    if restriction is not None:
-        targets = [restrict(shift, *restriction)]
-    elif power is not None:
-        targets = power_components(shift, *power)
-    else:
-        targets = [shift]
+    targets = sweep_targets(shift, power, restriction)
     verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
     holds = all(v.holds for v in verdicts)
     return {

@@ -18,7 +18,6 @@ from .measures import (
     BetaFamily,
     Lebesgue01,
     PrefixTable,
-    Pushforward2D,
     pushforward_moments,
 )
 from .shift1d import (
@@ -191,8 +190,9 @@ _NAMED_SHIFTS = {
 
 
 def shift1d_from_descriptor(data, path="$") -> Shift1D:
-    if isinstance(data, dict) and data.get("kind") in _NAMED_SHIFTS:
-        return _NAMED_SHIFTS[data["kind"]](data, path)
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if isinstance(kind, str) and kind in _NAMED_SHIFTS:
+        return _NAMED_SHIFTS[kind](data, path)
     if not isinstance(data, dict) or "prefix_sq" not in data:
         raise DescriptorError(
             "expected a shift descriptor with 'prefix_sq' or a named kind", path

@@ -14,12 +14,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DuplicateNode, SingularSystem
 
-#: Values accepted wherever an exact scalar is expected.
-RationalLike = "Fraction | int | str"
-
-# Divisor enumeration above this bound is refused (rational root search only).
-_ROOT_SEARCH_LIMIT = 10**12
-
 
 def as_rational(value) -> Fraction:
     """Coerce an int, ``"p/q"`` string, or Fraction to an exact Fraction.
@@ -186,55 +180,6 @@ def _deflate(p: RationalPolynomial, root: Fraction) -> RationalPolynomial:
     return RationalPolynomial(tuple(out))
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def rational_roots(p: RationalPolynomial) -> list:
-    """All rational roots of ``p``, with multiplicity, ascending.
-
-    Divisor search on the integer-cleared polynomial followed by exact
-    deflation. Raises ``ValueError`` when the divisor enumeration would be
-    infeasibly large; callers treat that as "roots unresolved".
-    """
-    if p.degree < 1:
-        return []
-    roots = []
-    # factor out powers of x
-    coeffs = list(p.coefficients)
-    while coeffs and coeffs[0] == 0:
-        roots.append(Fraction(0))
-        coeffs = coeffs[1:]
-    q = RationalPolynomial(tuple(coeffs))
-    if q.degree < 1:
-        return sorted(roots)
-    lcm = 1
-    for c in q.coefficients:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in q.coefficients]
-    c0, clead = ints[0], ints[-1]
-    if abs(c0) > _ROOT_SEARCH_LIMIT or abs(clead) > _ROOT_SEARCH_LIMIT:
-        raise ValueError("coefficients too large for rational root search")
-    candidates = set()
-    for num in _divisors(c0):
-        for den in _divisors(clead):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        while q.degree >= 1 and q(cand) == 0:
-            roots.append(cand)
-            q = _deflate(q, cand)
-    return sorted(roots)
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains and sign analysis
 # ---------------------------------------------------------------------------
@@ -323,6 +268,46 @@ def isolate_real_roots(p: RationalPolynomial, lo=None, hi=None) -> list:
             stack.append((a, m, left))
             stack.append((m, b, count - left))
     return sorted(out)
+
+
+def rational_roots(p: RationalPolynomial) -> list:
+    """All rational roots of ``p``, with multiplicity, ascending.
+
+    Clear the (monic) square-free part s of p to a primitive integer
+    polynomial with leading coefficient D. A rational root then has a reduced
+    denominator dividing D, and two such rationals lie at least 1/D^2 apart.
+    So once a Sturm isolating interval of s is narrower than 1/(2 D^2), the
+    best approximation of its midpoint with denominator at most D is the only
+    rational it can hold; it is tested exactly, then deflated out of p.
+    """
+    if p.degree < 1:
+        return []
+    s = square_free_part(p)
+    scale = math.lcm(*(c.denominator for c in s.coefficients))
+    lead = scale // math.gcd(*(int(c * scale) for c in s.coefficients))
+    roots = []
+    for a, b in isolate_real_roots(s):
+        root = _rational_root_in(s, a, b, lead)
+        while root is not None and p(root) == 0:
+            roots.append(root)
+            p = _deflate(p, root)
+    return roots
+
+
+def _rational_root_in(s: RationalPolynomial, a: Fraction, b: Fraction, lead: int):
+    """The root of ``s`` in its isolating interval (a, b) if it is rational."""
+    left_positive = s(a) > 0
+    while 2 * lead * lead * (b - a) >= 1:
+        m = (a + b) / 2
+        value = s(m)
+        if value == 0:
+            return m
+        if (value > 0) == left_positive:
+            a = m
+        else:
+            b = m
+    candidate = ((a + b) / 2).limit_denominator(lead)
+    return candidate if a < candidate < b and s(candidate) == 0 else None
 
 
 def _refine_off(chain, interval, barrier_left):

@@ -190,6 +190,8 @@ def k_hyponormal(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if window < 0:
+        raise ValueError("window must be >= 0")
     moments = shift.moments(window + 2 * k + 1)
     for u in range(window + 1):
         verdict = psd_test(hankel_matrix(moments, k, u))
@@ -244,12 +246,8 @@ def detect_recursion(moments: Sequence, max_order: int) -> RecursionResult:
         ):
             continue
         poly = RationalPolynomial(tuple(-c for c in phi) + (Fraction(1),))
-        atoms = None
-        intervals = None
-        try:
-            roots = rational_roots(poly)
-        except ValueError:
-            roots = []
+        atoms = intervals = None
+        roots = rational_roots(poly)
         if len(roots) == k and len(set(roots)) == k:
             densities = vandermonde_solve(roots, values[:k])
             atoms = tuple(zip(roots, densities))

@@ -277,6 +277,8 @@ def k_hyponormal_2v(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if window < 0:
+        raise ValueError("window must be >= 0")
     table = moments(shift, window + 2 * k)
     for u in _base_points(window):
         verdict = psd_test(moment_matrix(table, u, k))
@@ -301,6 +303,8 @@ def six_point(shift: Shift2D, window: int = DEFAULT_WINDOW_2D) -> SixPointVerdic
     is nonnegative iff R = X + Y - a11 a22 satisfies R <= 0 or 4XY >= R^2,
     which decides the test exactly in rationals.
     """
+    if window < 0:
+        raise ValueError("window must be >= 0")
     for point in _base_points(window):
         k1, k2 = point
         a11 = shift.alpha_sq(k1 + 1, k2) - shift.alpha_sq(k1, k2)
@@ -367,6 +371,17 @@ def power_components(shift: Shift2D, m: int, n: int) -> list:
     if m < 1 or n < 1:
         raise ValueError(f"power exponents must be >= 1, got ({m},{n})")
     return [restrict(shift, m, n, p, q) for p in range(m) for q in range(n)]
+
+
+def sweep_targets(shift: Shift2D, power=None, restriction=None) -> list:
+    """The shifts a sweep tests: a restriction, every power component, or ``shift``."""
+    if power is not None and restriction is not None:
+        raise ValueError("choose either a power or a restriction, not both")
+    if restriction is not None:
+        return [restrict(shift, *restriction)]
+    if power is not None:
+        return power_components(shift, *power)
+    return [shift]
 
 
 def row(shift: Shift2D, j: int) -> Shift1D:

@@ -13,18 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .descriptors import shift1d_from_descriptor
+from .descriptors import _rational, shift1d_from_descriptor
 from .embed import classical_embed
 from .errors import DescriptorError, NotMonotone
-from .exactcore import as_rational, format_rational
+from .exactcore import format_rational
 from .shift1d import DEFAULT_WINDOW_1D, k_hyponormal
 from .shift2d import (
     DEFAULT_WINDOW_2D,
     grid_reach,
     k_hyponormal_2v,
-    power_components,
-    restrict,
     six_point,
+    sweep_targets,
 )
 
 PREDICATE_OPS = ("khypo1", "khypo2", "sixpoint")
@@ -73,8 +72,8 @@ def query_from_descriptor(data, path="$", **overrides) -> ThresholdQuery:
     fields = dict(
         shift_template=data["shift"],
         parameter=data["parameter"],
-        lo=as_rational(data["lo"]),
-        hi=as_rational(data["hi"]),
+        lo=_rational(data["lo"], f"{path}.lo"),
+        hi=_rational(data["hi"], f"{path}.hi"),
     )
     fields.update({k: v for k, v in overrides.items() if v is not None})
     return ThresholdQuery(**fields)
@@ -101,12 +100,7 @@ def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
     embedding = classical_embed(
         shift, grid_reach(query.k, window, query.power, query.restriction)
     )
-    if query.restriction is not None:
-        targets = [restrict(embedding, *query.restriction)]
-    elif query.power is not None:
-        targets = power_components(embedding, *query.power)
-    else:
-        targets = [embedding]
+    targets = sweep_targets(embedding, query.power, query.restriction)
     if query.op == "khypo2":
         return all(k_hyponormal_2v(t, query.k, window).holds for t in targets)
     return all(six_point(t, window).holds for t in targets)

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
@@ -132,6 +134,78 @@ def test_empty_power_is_an_error(runner, files, args):
     result = runner.invoke(main, [args[0], "--shift", files["sie"], *args[1:], "--window", "3"])
     assert result.exit_code == 1
     assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["khypo1", "--shift", "bergman", "--window", "-3"],
+        ["khypo2", "--shift", "sie", "--window", "-1"],
+        ["sixpoint", "--shift", "sie", "--window", "-1"],
+        ["power", "--shift", "sie", "--m", "2", "--n", "2", "--window", "-2"],
+        ["khypo2", "--shift", "sie", "--window", "3", "--power", "2,2",
+         "--restriction", "2,3,0,0"],
+    ],
+)
+def test_invalid_sweep_is_an_error(runner, files, args):
+    result = runner.invoke(main, [files.get(arg, arg) for arg in args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["khypo1", "--shift", "bergman", "--window", "0"],
+        ["khypo2", "--shift", "sie", "--window", "0"],
+        ["sixpoint", "--shift", "sie", "--window", "0"],
+    ],
+)
+def test_window_zero_tests_the_origin(runner, files, args):
+    result = runner.invoke(main, [files.get(arg, arg) for arg in args])
+    assert result.exit_code == 0
+    assert _payload(result)["params"]["window"] == 0
+
+
+def test_command_leaves_no_report_in_cyclic_garbage(runner, files):
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = runner.invoke(main, ["moments2", "--shift", files["sie"], "--window", "20"])
+        assert result.exit_code == 0
+        del result  # the result holds the exception, whose traceback holds the frames
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert not any(isinstance(obj, F) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [{"kind": []}, {"kind": {}}, {"kind": "bergman", "note": 0.5}],
+)
+def test_malformed_descriptor_is_an_error(runner, tmp_path, descriptor):
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(descriptor))
+    result = runner.invoke(main, ["khypo1", "--shift", str(path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+
+
+def test_float_coefficient_option_is_an_error(runner, files):
+    result = runner.invoke(
+        main, ["pushforward", "--measure", files["three_atoms"], "--p", "[0.5]", "--q", "1"]
+    )
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
 
 

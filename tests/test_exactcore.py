@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -227,6 +228,38 @@ def test_rational_roots_with_multiplicity():
     assert rational_roots(p) == [F(1, 3), F(1, 2), 1]
     q = P(-1, 1) ** 2
     assert rational_roots(q) == [1, 1]
+
+
+def test_rational_roots_past_a_trillion():
+    # cleared coefficients near 10^12, with an irrational factor x^2 - 2
+    n = 963761198400
+    p = P(F(-1, n), 1) * P(F(-7, 11), 1) ** 2 * P(-2, 0, 1)
+    assert rational_roots(p) == [F(1, n), F(7, 11), F(7, 11)]
+    # and near 10^30, with x^2 - 3
+    big = 10**30
+    q = P(F(-3, big), 1) * P(big + 1, 1) * P(F(-big - 1, big), 1) ** 2 * P(-3, 0, 1)
+    assert rational_roots(q) == [-big - 1, F(3, big), F(big + 1, big), F(big + 1, big)]
+
+
+def test_rational_roots_without_rational_roots():
+    assert rational_roots(P(-2, 0, 1) * P(1, 0, 1)) == []
+    assert rational_roots(P(F(5, 7))) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_roots_recovers_known_roots(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        expected = []
+        p = P(F(rng.randint(1, 9), rng.randint(1, 9)))
+        for _ in range(rng.randint(1, 4)):
+            root = F(rng.randint(-1000, 1000), rng.randint(1, 1000))
+            multiplicity = rng.randint(1, 3)
+            expected += [root] * multiplicity
+            p = p * P(-root, 1) ** multiplicity
+        if rng.random() < 0.5:
+            p = p * P(-rng.choice([2, 3, 5]), 0, 1)  # irrational pair
+        assert rational_roots(p) == sorted(expected)
 
 
 def test_isolate_real_roots_irrational():

@@ -133,6 +133,23 @@ def test_detect_recursion_point_mass_at_zero():
     assert result.atoms == ((0, 1),)
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        (F(1, 10**13), F(1, 2)),
+        (F(1, 73513440), F(2, 73513440), F(1, 2)),
+    ],
+)
+def test_detect_recursion_atoms_with_large_denominators(atoms):
+    densities = tuple(F(1, len(atoms)) for _ in atoms)
+    sigma = AtomicMeasure1D(atoms, densities)
+    moments = [sigma.moment(k) for k in range(2 * len(atoms) + 1)]
+    result = detect_recursion(moments, 5)
+    assert result.found and result.order == len(atoms)
+    assert result.atoms == tuple(zip(atoms, densities))
+    assert result.root_intervals is None
+
+
 def test_detect_recursion_bergman_has_none():
     moments = [F(1, k + 1) for k in range(11)]
     assert not detect_recursion(moments, 5).found
