@@ -7,6 +7,7 @@ which is exactly what ``str(Fraction)`` produces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -395,6 +396,31 @@ class SymMatrix:
         return self.entries[i][j]
 
 
+class _DeferredCertificate:
+    """``PsdVerdict.certificate`` as a data descriptor.
+
+    The stored value is either the certificate tuple or a zero-argument
+    callable that builds it; the callable runs on the first read and its
+    tuple replaces it. ``dataclasses`` sees an ordinary field with no
+    default, so ``fields``, ``repr`` and ``==`` read the tuple.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot[1:])
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = value()
+            obj.__dict__[self.slot] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class PsdVerdict:
     """Positive-semidefiniteness verdict with an exact certificate.
@@ -402,53 +428,88 @@ class PsdVerdict:
     ``certificate`` holds e_0..e_n, the sums of principal i-by-i minors
     (characteristic polynomial coefficients up to sign). A real symmetric
     matrix is PSD iff every e_i >= 0; ``first_failure`` is the least index
-    with e_i < 0, if any.
+    with e_i < 0, if any. ``psd_test`` decides ``is_psd`` by fraction-free
+    LDL^T; it builds the Faddeev-LeVerrier certificate at once for a failing
+    matrix and on the first read of ``certificate`` otherwise.
     """
 
     is_psd: bool
-    certificate: tuple
+    certificate: tuple = _DeferredCertificate()
     first_failure: Optional[int]
 
 
-def _int_matmul(a, b, n):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _ldl_is_psd(a) -> bool:
+    """Decide PSD-ness of the symmetric integer matrix ``a`` (overwritten).
+
+    Symmetric fraction-free (Bareiss) elimination with diagonal pivoting.
+    After pivots P, every remaining entry is det(A[P+i, P+j]), which is
+    det(A[P, P]) > 0 times the Schur complement entry, so its sign is the
+    Schur complement's. A is PSD iff that complement is: a negative
+    diagonal fails, any positive diagonal is the next pivot, and a complement
+    with an all-zero diagonal is PSD iff it is zero.
+    """
+    remaining = list(range(len(a)))
+    prev = 1
+    while remaining:
+        pivot = None
+        for i in remaining:
+            d = a[i][i]
+            if d < 0:
+                return False
+            if d > 0 and pivot is None:
+                pivot = i
+        if pivot is None:
+            return not any(a[i][j] for i in remaining for j in remaining)
+        remaining.remove(pivot)
+        p, prow = a[pivot][pivot], a[pivot]
+        for s, i in enumerate(remaining):
+            row, f = a[i], prow[i]
+            for j in remaining[s:]:
+                row[j] = a[j][i] = (p * row[j] - f * prow[j]) // prev
+        prev = p
+    return True
+
+
+def _certificate(a, lcm, is_psd) -> tuple:
+    """e_0..e_n of the integer matrix ``a`` / ``lcm`` by Faddeev-LeVerrier.
+
+    M_k = A M_{k-1} + c_{k-1} I and c_k = -trace(A M_k) / k over the
+    integers; the trace is read off as sum a_ij (M_k)_ji without forming
+    A M_k. Scaling by L > 0 multiplies e_i by L^i, so the signs are those
+    of A's, and they must agree with the LDL^T verdict ``is_psd``.
+    """
+    n = len(a)
+    cols = [[0] * n for _ in range(n)]  # columns of M_{k-1}
+    cs = [1]
+    for k in range(1, n + 1):
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        for i in range(n):
+            mk[i][i] += cs[-1]
+        cols = list(zip(*mk))
+        trace = sum(x * y for row, col in zip(a, cols) for x, y in zip(row, col))
+        assert trace % k == 0, "Faddeev-LeVerrier trace must divide exactly"
+        cs.append(-(trace // k))
+    certificate = tuple(Fraction((-1) ** i * cs[i], lcm**i) for i in range(n + 1))
+    agrees = is_psd == all(e >= 0 for e in certificate)
+    assert agrees, "LDL^T and Faddeev-LeVerrier disagree"
+    return certificate
 
 
 def psd_test(matrix: SymMatrix) -> PsdVerdict:
-    """Decide PSD-ness exactly via principal-minor sums.
+    """Decide PSD-ness exactly by fraction-free LDL^T.
 
-    The matrix is scaled to integers by the lcm of its denominators, the
-    characteristic polynomial is computed with the Faddeev-LeVerrier
-    recursion over the integers, and the coefficients are scaled back.
-    Scaling by L > 0 multiplies e_i by L^i, so the signs are unchanged.
+    The matrix is scaled to integers by the lcm L of its denominators and
+    decided by ``_ldl_is_psd``. A failing verdict carries its
+    Faddeev-LeVerrier certificate at once, and ``first_failure`` is read
+    off it; a PSD verdict builds the certificate on its first read.
     """
-    n = matrix.order
-    lcm = 1
-    for row in matrix.entries:
-        for e in row:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-    a = [[int(e * lcm) for e in row] for row in matrix.entries]
-    prev = [[0] * n for _ in range(n)]
-    cs = [1]
-    for k in range(1, n + 1):
-        mk = _int_matmul(a, prev, n)
-        for i in range(n):
-            mk[i][i] += cs[-1]
-        prod = _int_matmul(a, mk, n)
-        trace = sum(prod[i][i] for i in range(n))
-        assert trace % k == 0, "Faddeev-LeVerrier trace must divide exactly"
-        cs.append(-(trace // k))
-        prev = mk
-    certificate = tuple(
-        Fraction((-1) ** i * cs[i], lcm**i) for i in range(n + 1)
-    )
-    first_failure = next((i for i, e in enumerate(certificate) if e < 0), None)
-    return PsdVerdict(
-        is_psd=first_failure is None,
-        certificate=certificate,
-        first_failure=first_failure,
-    )
+    lcm = math.lcm(*(e.denominator for row in matrix.entries for e in row))
+    a = [[e.numerator * (lcm // e.denominator) for e in row] for row in matrix.entries]
+    if _ldl_is_psd([row[:] for row in a]):
+        return PsdVerdict(True, functools.partial(_certificate, a, lcm, True), None)
+    certificate = _certificate(a, lcm, False)
+    first_failure = next(i for i, e in enumerate(certificate) if e < 0)
+    return PsdVerdict(False, certificate, first_failure)
 
 
 def _det_rows(rows) -> Fraction:

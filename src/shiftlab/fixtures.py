@@ -395,8 +395,8 @@ def spherical_route_agreement_suite(seed=0, count=20) -> FixtureResult:
 
 
 def psd_cross_check_suite(seed=0, count=50) -> FixtureResult:
-    """Certificate-based PSD test agrees with brute-force principal minors
-    on random symmetric 4x4 rational matrices."""
+    """The LDL^T PSD test agrees with brute-force principal minors on
+    random symmetric 4x4 rational matrices."""
     rng = random.Random(seed + 2)
     mismatches = 0
     for trial in range(count):

@@ -103,6 +103,8 @@ class Shift1D:
         return self._moments[k]
 
     def moments(self, count: int) -> list:
+        if count < 0:
+            raise ValueError("count must be >= 0")
         return [self.moment(k) for k in range(count)]
 
 
@@ -229,6 +231,8 @@ def detect_recursion(moments: Sequence, max_order: int) -> RecursionResult:
     entire moment window exactly; recover atoms when the generating
     polynomial splits over the rationals.
     """
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
     values = [as_rational(m) for m in moments]
     if not values or values[0] != 1:
         raise ValueError("moment window must start with gamma_0 = 1")

@@ -51,6 +51,8 @@ class ThresholdQuery:
             raise ValueError(f"op must be one of {PREDICATE_OPS}")
         if self.power is not None and self.restriction is not None:
             raise ValueError("choose either a power or a restriction, not both")
+        if self.precision < 1:
+            raise ValueError("precision must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,27 @@ def test_invalid_sweep_is_an_error(runner, files, args):
 @pytest.mark.parametrize(
     "args",
     [
+        ["threshold", "--family", "family", "--op", "khypo1", "--k", "2",
+         "--window", "3", "--precision", "-5"],
+        ["threshold", "--family", "family", "--op", "khypo1", "--k", "2",
+         "--window", "3", "--precision", "0"],
+        ["recursion", "--moments", "1,1/2,1/3,1/4", "--max-order", "0"],
+        ["recursion", "--moments", "1,1/2,1/3,1/4", "--max-order", "-1"],
+        ["moments1", "--shift", "bergman", "--count", "-3"],
+        ["recursion", "--shift", "bergman", "--count", "-3"],
+    ],
+)
+def test_nonpositive_bound_is_an_error(runner, files, args):
+    result = runner.invoke(main, [files.get(arg, arg) for arg in args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "must be >= " in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["khypo1", "--shift", "bergman", "--window", "0"],
         ["khypo2", "--shift", "sie", "--window", "0"],
         ["sixpoint", "--shift", "sie", "--window", "0"],

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab.cli import _jsonify
 from shiftlab.errors import DuplicateNode
 from shiftlab.exactcore import (
     RationalPolynomial,
     SymMatrix,
+    _det_rows,
     as_rational,
     format_rational,
     isolate_real_roots,
@@ -292,3 +295,102 @@ def test_poly_nonneg_root_at_endpoint():
     assert poly_nonneg_on(P(0, 1), 0, 1)  # r, root at left endpoint
     assert poly_nonneg_on(P(1, -1), 0, 1)  # 1 - r, root at right endpoint
     assert not poly_nonneg_on(P(0, -1) * P(F(-1, 2), 1), 0, 1)  # -r(r-1/2)<0 near 1
+
+
+# -- LDL^T decider: zero pivots and the deferred certificate -----------------
+
+
+def _gram(rng, n, rank):
+    vectors = [
+        [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        for _ in range(rank)
+    ]
+    return SymMatrix(
+        tuple(
+            tuple(sum(v[i] * v[j] for v in vectors) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def _sparse_symmetric(rng, n):
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.35:
+                value = F(rng.randint(-4, 4), rng.randint(1, 3))
+                rows[i][j] = rows[j][i] = value
+    return SymMatrix(tuple(tuple(r) for r in rows))
+
+
+# zero diagonal entries, with and without a nonzero row; the last two reach
+# an all-zero complement diagonal only after a pivot
+ZERO_DIAGONAL = [
+    ((0,),),
+    ((0, 1), (1, 0)),
+    ((0, 0), (0, 1)),
+    ((0, 0), (0, -1)),
+    ((2, 0, 1), (0, 0, 0), (1, 0, 1)),
+    ((0, 0, 0), (0, 0, 2), (0, 2, 3)),
+    ((1, 1, 1), (1, 1, 0), (1, 0, 1)),
+    ((1, 1, 2), (1, 1, 2), (2, 2, 4)),
+]
+
+
+def _edge_matrices(seed):
+    rng = random.Random(seed)
+    matrices = [SymMatrix(rows) for rows in ZERO_DIAGONAL]
+    for n in range(1, 7):
+        matrices.extend(_gram(rng, n, rank) for rank in range(n + 1))
+        matrices.extend(_sparse_symmetric(rng, n) for _ in range(6))
+    return matrices
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_psd_matches_minors_on_singular_and_sparse(seed):
+    for m in _edge_matrices(seed):
+        assert psd_test(m).is_psd == psd_test_minors(m), m.entries
+
+
+def test_zero_diagonal_verdicts():
+    expected = [True, False, True, False, True, False, False, True]
+    assert [psd_test(SymMatrix(rows)).is_psd for rows in ZERO_DIAGONAL] == expected
+
+
+def _minor_sums(m):
+    sums = [F(0)] * (m.order + 1)
+    for mask in range(1 << m.order):
+        idx = [i for i in range(m.order) if mask >> i & 1]
+        sums[len(idx)] += _det_rows([[m.entries[i][j] for j in idx] for i in idx])
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_certificate_is_the_principal_minor_sums(seed):
+    for m in _edge_matrices(seed):
+        verdict = psd_test(m)
+        # built at once only for a failing matrix
+        assert callable(vars(verdict)["_certificate"]) == verdict.is_psd
+        assert verdict.certificate == _minor_sums(m), m.entries
+        assert isinstance(vars(verdict)["_certificate"], tuple)
+        failures = [i for i, e in enumerate(verdict.certificate) if e < 0]
+        assert verdict.first_failure == (failures[0] if failures else None)
+
+
+def test_psd_verdict_reads_the_same_before_and_after_certificate():
+    m = SymMatrix(((2, 1, 0), (1, 2, 1), (0, 1, F(3, 4))))
+    read = psd_test(m)
+    assert read.is_psd and read.certificate == (1, F(19, 4), 5, F(1, 4))
+    assert [f.name for f in dataclasses.fields(read)] == [
+        "is_psd",
+        "certificate",
+        "first_failure",
+    ]
+    assert repr(psd_test(m)) == repr(read)
+    assert psd_test(m) == read and read == psd_test(m)
+    assert hash(psd_test(m)) == hash(read)
+    assert _jsonify(psd_test(m), None) == _jsonify(read, None) == {
+        "is_psd": True,
+        "certificate": ["1", "19/4", "5", "1/4"],
+        "first_failure": None,
+    }

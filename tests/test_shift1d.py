@@ -31,6 +31,12 @@ def test_bergman_moments():
     assert [b.moment(k) for k in range(6)] == [F(1, k + 1) for k in range(6)]
 
 
+def test_negative_moment_count_is_rejected():
+    assert bergman().moments(0) == []
+    with pytest.raises(ValueError, match="count"):
+        bergman().moments(-3)
+
+
 def test_unweighted_moments():
     u = unweighted()
     assert all(u.moment(k) == 1 for k in range(10))
@@ -158,6 +164,12 @@ def test_detect_recursion_bergman_has_none():
 def test_detect_recursion_requires_unit_mass():
     with pytest.raises(ValueError):
         detect_recursion([2, 1], 1)
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_detect_recursion_requires_an_order_to_search(max_order):
+    with pytest.raises(ValueError, match="max_order"):
+        detect_recursion([1, F(1, 2), F(1, 3), F(1, 4)], max_order)
 
 
 def test_detect_recursion_irrational_atoms_reported_as_intervals():

@@ -107,3 +107,6 @@ def test_query_validation():
         )
     with pytest.raises(ValueError):
         query_from_descriptor(FAMILY, op="nonsense")
+    for precision in (0, -5):
+        with pytest.raises(ValueError, match="precision"):
+            query_from_descriptor(FAMILY, op="khypo1", precision=precision)
