@@ -75,14 +75,14 @@ def classical_embed(shift: Shift1D, window: int) -> Shift2D:
     """Grid with alpha_sq = beta_sq = w_sq(k1+k2): the diagonal embedding.
 
     Both weight families repeat the 1-variable sequence along antidiagonals,
-    so commutativity is automatic and the planar moments collapse to the
-    1-variable moments: gamma(k1,k2) = gamma(k1+k2).
+    so the grid is built from its 2*window - 1 diagonal weights alone
+    (``Shift2D.diagonal``), commutativity holds by construction, and the
+    planar moments collapse to the 1-variable moments:
+    gamma(k1,k2) = gamma(k1+k2).
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    diag = shift.weights_sq(2 * window - 1)
-    grid = [[diag[i + j] for j in range(window)] for i in range(window)]
-    return Shift2D(grid, grid)
+    return Shift2D.diagonal(shift.weights_sq(2 * window - 1))
 
 
 def _check_nonnegativity(sigma, p: RationalPolynomial, q: RationalPolynomial):

@@ -378,14 +378,17 @@ class SymMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(as_rational(e) for e in row) for row in self.entries)
+        rows = tuple(tuple(map(as_rational, row)) for row in self.entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
+        # compare with the transpose in one pass; scan for the first
+        # asymmetric (i, j) only to name it
+        if rows != tuple(zip(*rows)):
+            i, j = next(
+                (i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]
+            )
+            raise ValueError(f"matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "entries", rows)
 
     @property

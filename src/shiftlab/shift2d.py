@@ -138,6 +138,27 @@ class Shift2D:
         beta = [[rule.beta_sq(i, j) for j in range(window)] for i in range(window)]
         return cls(alpha, beta, rule=rule)
 
+    @classmethod
+    def diagonal(cls, weights_sq) -> "Shift2D":
+        """The grid alpha_sq = beta_sq = w_sq(k1 + k2) from its 2N - 1 weights.
+
+        Both families read one Hankel grid, so the commuting-pair identity
+        holds by construction (both products at (i, j) are
+        w_sq(i+j) w_sq(i+j+1)), and every cell is one of the weights: checking
+        the weights checks the grid. The window is N, with no rule beyond it.
+        """
+        weights = tuple(map(as_rational, weights_sq))
+        if len(weights) % 2 == 0:
+            raise ValueError("need 2N - 1 diagonal weights for some N >= 1")
+        for i, w in enumerate(weights):
+            if w <= 0:
+                raise ValueError(f"diagonal weight {i} = {w} is not positive")
+        n = (len(weights) + 1) // 2
+        shift = cls.__new__(cls)
+        shift.alpha_grid = shift.beta_grid = tuple(weights[i:i + n] for i in range(n))
+        shift.rule = None
+        return shift
+
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
         if k1 < self.window and k2 < self.window:
             return self.alpha_grid[k1][k2]

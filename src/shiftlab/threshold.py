@@ -51,6 +51,11 @@ class ThresholdQuery:
             raise ValueError(f"op must be one of {PREDICATE_OPS}")
         if self.power is not None and self.restriction is not None:
             raise ValueError("choose either a power or a restriction, not both")
+        if self.op == "khypo1" and (self.power is not None or self.restriction is not None):
+            raise ValueError(
+                "khypo1 tests the 1-variable shift; a power or restriction "
+                "needs khypo2 or sixpoint"
+            )
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
 

@@ -146,6 +146,10 @@ def test_empty_power_is_an_error(runner, files, args):
         ["power", "--shift", "sie", "--m", "2", "--n", "2", "--window", "-2"],
         ["khypo2", "--shift", "sie", "--window", "3", "--power", "2,2",
          "--restriction", "2,3,0,0"],
+        ["threshold", "--family", "family", "--op", "khypo1", "--k", "2",
+         "--window", "3", "--precision", "100", "--power", "2,2"],
+        ["threshold", "--family", "family", "--op", "khypo1", "--k", "2",
+         "--window", "3", "--precision", "100", "--restriction", "2,3,0,0"],
     ],
 )
 def test_invalid_sweep_is_an_error(runner, files, args):

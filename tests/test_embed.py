@@ -13,9 +13,16 @@ from shiftlab.embed import (
     spherical_embed_iterative,
     spherical_embed_measure,
 )
-from shiftlab.errors import NegativeValue, NonpositiveDensity, TailExhausted, ZeroMoment
+from shiftlab.descriptors import shift2d_to_descriptor
+from shiftlab.errors import (
+    NegativeValue,
+    NonpositiveDensity,
+    TailExhausted,
+    WindowTooSmall,
+    ZeroMoment,
+)
 from shiftlab.exactcore import RationalPolynomial
-from shiftlab.families import bergman_rank_one
+from shiftlab.families import bergman_rank_one, flat_head_bergman
 from shiftlab.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -25,7 +32,18 @@ from shiftlab.measures import (
     pushforward_moments,
 )
 from shiftlab.shift1d import Shift1D, bergman, from_measure, unweighted
-from shiftlab.shift2d import moments, restrict, sie_bergman, spherical_check
+from shiftlab.shift2d import (
+    Shift2D,
+    col,
+    corner_restrict,
+    moments,
+    power_components,
+    restrict,
+    row,
+    sie_bergman,
+    six_point,
+    spherical_check,
+)
 
 P = RationalPolynomial.of
 R = P(0, 1)
@@ -65,6 +83,73 @@ def test_classical_embedding_weight_diagram():
 def test_classical_embedding_prefix_only_exhausts():
     with pytest.raises(TailExhausted):
         classical_embed(Shift1D((F(1, 2), F(2, 3))), 4)
+
+
+CLASSICAL_BASES = {
+    "bergman": lambda n: bergman(),
+    "rank_one_1/2": lambda n: bergman_rank_one(F(1, 2)),
+    "rank_one_9/16": lambda n: bergman_rank_one(F(9, 16)),
+    "rank_one_2/3": lambda n: bergman_rank_one(F(2, 3)),
+    "flat_head": lambda n: flat_head_bergman(F(3, 5)),
+    "unweighted": lambda n: unweighted(),
+    "prefix_only": lambda n: Shift1D(bergman().weights_sq(2 * n - 1)),
+}
+
+
+def _outcome(f, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, WindowTooSmall) as exc:
+        return type(exc), str(exc)
+
+
+def _grid_outcome(f, *args):
+    out = _outcome(f, *args)
+    if isinstance(out, Shift2D):
+        return shift2d_to_descriptor(out)
+    if isinstance(out, list):
+        return [shift2d_to_descriptor(s) for s in out]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_BASES))
+@pytest.mark.parametrize("n", range(1, 21))
+def test_classical_embedding_matches_validated_grid(name, n):
+    base = CLASSICAL_BASES[name](n)
+    diag = base.weights_sq(2 * n - 1)
+    grid = [[diag[i + j] for j in range(n)] for i in range(n)]
+    old = Shift2D(grid, grid)
+    new = classical_embed(base, n)
+    assert new.window == n and new.rule is None
+    for i in range(n):
+        for j in range(n):
+            assert new.alpha_sq(i, j) == old.alpha_sq(i, j) == diag[i + j]
+            assert new.beta_sq(i, j) == old.beta_sq(i, j) == diag[i + j]
+    for read in ("alpha_sq", "beta_sq"):
+        for index in ((n, 0), (0, n), (n, n)):
+            with pytest.raises(WindowTooSmall) as raised:
+                getattr(new, read)(*index)
+            assert _outcome(getattr(old, read), *index) == (
+                WindowTooSmall, str(raised.value)
+            )
+    assert moments(new, n - 1) == moments(old, n - 1)
+    assert shift2d_to_descriptor(new) == shift2d_to_descriptor(old)
+    for f, args in (
+        (restrict, (2, 3, 0, 0)),
+        (restrict, (2, 3, 1, 2)),
+        (corner_restrict, (1, 2)),
+        (power_components, (2, 2)),
+    ):
+        assert _grid_outcome(f, new, *args) == _grid_outcome(f, old, *args)
+    for f, index in ((row, 0), (row, n - 1), (col, 0), (col, n - 1)):
+        ours, theirs = f(new, index), f(old, index)
+        assert (ours.prefix_sq, ours.tail) == (theirs.prefix_sq, theirs.tail)
+    assert _outcome(six_point, new, n - 2) == _outcome(six_point, old, n - 2)
+    assert spherical_check(new) == spherical_check(old)
+    if name == "prefix_only":
+        with pytest.raises(TailExhausted):
+            classical_embed(Shift1D(diag[:-1]), n)
 
 
 # -- polynomial embeddings --------------------------------------------------------

@@ -78,6 +78,16 @@ def test_psd_hilbert_3x3():
 def test_psd_not_symmetric_rejected():
     with pytest.raises(ValueError):
         SymMatrix(((1, 2), (3, 1)))
+    # the message names the first asymmetric entry in row-major order below
+    # the diagonal
+    with pytest.raises(ValueError, match=r"not symmetric at \(2,0\)"):
+        SymMatrix(((1, 0, 5), (0, 1, 7), (4, 6, 1)))
+    with pytest.raises(ValueError, match=r"not symmetric at \(2,1\)"):
+        SymMatrix(((1, 0, 5), (0, 1, 7), (5, 6, 1)))
+    with pytest.raises(ValueError, match="square"):
+        SymMatrix(((1, 2), (2,)))
+    with pytest.raises(TypeError):
+        SymMatrix(((1, 0.5), (0.5, 1)))
 
 
 def test_psd_semidefinite_rank_one():

@@ -44,6 +44,28 @@ def test_positive_weights_enforced():
         Shift2D([[1, 1], [0, 1]], [[1, 1], [1, 1]])
 
 
+def test_diagonal_grid_shares_one_hankel_grid():
+    shift = Shift2D.diagonal(["1/2", 2, F(3, 4)])
+    assert shift.alpha_grid is shift.beta_grid
+    assert shift.alpha_grid == ((F(1, 2), 2), (2, F(3, 4)))
+    assert Shift2D.diagonal([5]).alpha_grid == ((5,),)
+
+
+@pytest.mark.parametrize(
+    "weights, error",
+    [
+        ([], ValueError),
+        ([1, 2], ValueError),
+        ([1, 0, 2], ValueError),
+        ([1, 2, "-1/3"], ValueError),
+        ([1, 0.5, 2], TypeError),
+    ],
+)
+def test_diagonal_rejects_bad_weights(weights, error):
+    with pytest.raises(error):
+        Shift2D.diagonal(weights)
+
+
 def test_sie_bergman_moments():
     shift = sie_bergman(8)
     table = moments(shift, 7)

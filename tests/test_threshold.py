@@ -110,3 +110,8 @@ def test_query_validation():
     for precision in (0, -5):
         with pytest.raises(ValueError, match="precision"):
             query_from_descriptor(FAMILY, op="khypo1", precision=precision)
+    # khypo1 tests the 1-variable shift, so a power or restriction would be
+    # ignored
+    for extra in ({"power": (2, 2)}, {"restriction": (2, 3, 0, 0)}):
+        with pytest.raises(ValueError, match="khypo1"):
+            query_from_descriptor(FAMILY, op="khypo1", **extra)
