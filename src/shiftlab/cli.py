@@ -514,6 +514,8 @@ def pushforward(measure_file, p_text, q_text, window, as_csv):
     data = _load(measure_file)
     sigma = measure1d_from_descriptor(data)
     p, q = _coeffs(p_text, "p"), _coeffs(q_text, "q")
+    if window < 0:
+        raise ValueError("window must be >= 0")
     inputs = {"measure": data, "p": list(p.coefficients), "q": list(q.coefficients)}
     if getattr(sigma, "kind", None) == "atomic1d":
         mu = pushforward_atomic(sigma, p, q)

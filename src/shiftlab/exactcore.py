@@ -126,6 +126,32 @@ class RationalPolynomial:
         return self.scale(1 / self.coefficients[-1])
 
 
+def integer_scaled(coefficients) -> tuple:
+    """(integers, d): coefficients[i] == integers[i] / d, with d > 0 the lcm
+    of their denominators (1 for no coefficients)."""
+    den = math.lcm(*(c.denominator for c in coefficients))
+    return [c.numerator * (den // c.denominator) for c in coefficients], den
+
+
+def homogeneous_horner(coefficients, num: int, den: int) -> int:
+    """Sum of c_i num^i den^(n-i) for n = len(coefficients), by Horner in
+    integers: den^n times the polynomial's value at num/den."""
+    acc = 0
+    den_pow = 1
+    for c in reversed(coefficients):
+        den_pow *= den
+        acc = acc * num + c * den_pow
+    return acc
+
+
+def numerator_denominator(x) -> tuple:
+    """(numerator, denominator) of an exact rational argument, coerced as by
+    ``as_rational``; ints and Fractions pass through without a new object."""
+    if not isinstance(x, (int, Fraction)):
+        x = as_rational(x)
+    return x.numerator, x.denominator
+
+
 def poly_eval(polynomial: RationalPolynomial, x) -> Fraction:
     """Exact evaluation; function-call form of ``polynomial(x)``."""
     return polynomial(x)

@@ -9,12 +9,25 @@ oracle; the concrete kinds mirror the JSON descriptor tags.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import NegativeValue, UnsupportedBase, ZeroMass
-from .exactcore import RationalPolynomial, as_rational
+from .exactcore import RationalPolynomial, as_rational, integer_scaled
+
+
+def _int_poly_mul(a: list, b: list) -> list:
+    """Product of two dense integer polynomials ([] is zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for j, c in enumerate(b):
+        if c:
+            for i, x in enumerate(a, j):
+                out[i] += x * c
+    return out
 
 
 def _factorial_ratio(num_factors, den_factors) -> Fraction:
@@ -193,9 +206,15 @@ class ArclengthSegment01:
 class Pushforward2D:
     """Image of a 1-variable oracle under r -> (p(r), q(r)).
 
-    moment(k1, k2) = integral of p^k1 q^k2, computed by expanding the
-    polynomial product into monomials and summing base moments; exact for
-    every base with exact monomial moments. Computed moments are memoized.
+    moment(k1, k2) = integral of p^k1 q^k2, exact for every base with exact
+    monomial moments, and computed in integers. With p = P/d_p and
+    q = Q/d_q for integer polynomials P, Q, and base moments W_i/L over one
+    common denominator, the moment is (sum of c_i W_i) / (L d_p^k1 d_q^k2)
+    where c_i are the coefficients of P^k1 Q^k2. Row k1 starts from P^k1 and
+    walks right with one integer multiply by Q per cell; only the requested
+    cell is dotted with the base moments, so a cell reads exactly the base
+    moments its own expansion needs (none when P^k1 Q^k2 is zero). Computed
+    moments are memoized.
     """
 
     kind = "pushforward"
@@ -214,24 +233,49 @@ class Pushforward2D:
             sum(abs(c) * b**i for i, c in enumerate(p.coefficients)) or Fraction(0),
             sum(abs(c) * b**i for i, c in enumerate(q.coefficients)) or Fraction(0),
         )
-        self._p_pows = [RationalPolynomial.of(1)]
-        self._q_pows = [RationalPolynomial.of(1)]
+        self._p_int, self._p_den = integer_scaled(p.coefficients)
+        self._q_int, self._q_den = integer_scaled(q.coefficients)
+        self._row_starts = [[1]]  # P^k1
+        self._rows = {}  # k1 -> (k2, P^k1 Q^k2) reached by the walk
+        self._base_num = []  # W_i: base moment i times _base_den
+        self._base_den = 1  # L
         self._cache = {}
 
-    def _power(self, pows, poly, n):
-        while len(pows) <= n:
-            pows.append(pows[-1] * poly)
-        return pows[n]
+    def _base_moments(self, count: int) -> list:
+        """W_0..W_{count-1}, reading only the base moments not yet read."""
+        have = len(self._base_num)
+        if count > have:
+            fresh = [self.base.moment(i) for i in range(have, count)]
+            den = math.lcm(self._base_den, *(m.denominator for m in fresh))
+            scale = den // self._base_den
+            self._base_num = [w * scale for w in self._base_num]
+            self._base_num += [m.numerator * (den // m.denominator) for m in fresh]
+            self._base_den = den
+        return self._base_num
+
+    def _expansion(self, k1: int, k2: int) -> list:
+        """Integer coefficients of P^k1 Q^k2 ([] when it is zero)."""
+        starts = self._row_starts
+        while len(starts) <= k1:
+            starts.append(_int_poly_mul(starts[-1], self._p_int))
+        at, poly = self._rows.get(k1, (0, starts[k1]))
+        if at > k2:
+            at, poly = 0, starts[k1]
+        for _ in range(k2 - at):
+            poly = _int_poly_mul(poly, self._q_int)
+        self._rows[k1] = (k2, poly)
+        return poly
 
     def moment(self, k1: int, k2: int) -> Fraction:
         key = (k1, k2)
         if key not in self._cache:
-            product = self._power(self._p_pows, self.p, k1) * self._power(
-                self._q_pows, self.q, k2
-            )
-            self._cache[key] = sum(
-                (c * self.base.moment(i) for i, c in enumerate(product.coefficients) if c),
-                Fraction(0),
+            if k1 < 0 or k2 < 0:
+                raise ValueError(f"moment indices must be >= 0, got ({k1},{k2})")
+            poly = self._expansion(k1, k2)
+            weights = self._base_moments(len(poly))
+            self._cache[key] = Fraction(
+                sum(map(operator.mul, poly, weights)),
+                self._base_den * self._p_den**k1 * self._q_den**k2,
             )
         return self._cache[key]
 

@@ -18,7 +18,10 @@ from .exactcore import (
     RationalPolynomial,
     SymMatrix,
     as_rational,
+    homogeneous_horner,
+    integer_scaled,
     isolate_real_roots,
+    numerator_denominator,
     psd_test,
     rational_roots,
     solve_linear,
@@ -31,19 +34,35 @@ DEFAULT_WINDOW_1D = 25  # base-point sweep bound for Hankel positivity tests
 
 @dataclass(frozen=True)
 class RationalWeightRule:
-    """Closed-form tail: squared weight at index k is num(k)/den(k)."""
+    """Closed-form tail: squared weight at index k is num(k)/den(k).
+
+    num and den are scaled once to integer polynomials N/d_N and D/d_D,
+    padded to one length, so a weight is N(k) d_D / (D(k) d_N) with both
+    values from integer Horner and a single Fraction built.
+    """
 
     num: RationalPolynomial
     den: RationalPolynomial
     start: int = 0
 
+    def __post_init__(self):
+        num, num_den = integer_scaled(self.num.coefficients)
+        den, den_den = integer_scaled(self.den.coefficients)
+        width = max(len(num), len(den))
+        object.__setattr__(self, "_num_int", tuple(num + [0] * (width - len(num))))
+        object.__setattr__(self, "_den_int", tuple(den + [0] * (width - len(den))))
+        object.__setattr__(self, "_num_scale", den_den)
+        object.__setattr__(self, "_den_scale", num_den)
+
     def weight_sq(self, k: int) -> Fraction:
         if k < self.start:
             raise ValueError(f"rule starts at index {self.start}, got {k}")
-        d = self.den(k)
+        a, b = numerator_denominator(k)
+        d = homogeneous_horner(self._den_int, a, b)
         if d == 0:
             raise ZeroDivisionError(f"tail denominator vanishes at index {k}")
-        return self.num(k) / d
+        return Fraction(homogeneous_horner(self._num_int, a, b) * self._num_scale,
+                        d * self._den_scale)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CommutativityViolation, WindowTooSmall
-from .exactcore import PsdVerdict, RationalPolynomial, SymMatrix, as_rational, psd_test
+from .exactcore import (
+    PsdVerdict,
+    RationalPolynomial,
+    SymMatrix,
+    as_rational,
+    homogeneous_horner,
+    integer_scaled,
+    numerator_denominator,
+    psd_test,
+)
 from .shift1d import RationalWeightRule, Shift1D
 
 DEFAULT_WINDOW_2D = 15  # base-point sweep bound u1 + u2 <= 15
@@ -26,26 +35,34 @@ DEFAULT_WINDOW_2D = 15  # base-point sweep bound u1 + u2 <= 15
 
 @dataclass(frozen=True)
 class BivariatePoly:
-    """Polynomial in (k1, k2): coefficient c[i][j] multiplies k1^i k2^j."""
+    """Polynomial in (k1, k2): coefficient c[i][j] multiplies k1^i k2^j.
+
+    The rows are also stored once as integers over one common denominator,
+    padded to a common width, so evaluation is homogeneous integer Horner on
+    the numerators and denominators of k1 and k2, with one Fraction built.
+    """
 
     coefficients: tuple
 
     def __post_init__(self):
         rows = tuple(tuple(as_rational(c) for c in row) for row in self.coefficients)
         object.__setattr__(self, "coefficients", rows)
+        flat, den = integer_scaled([c for row in rows for c in row])
+        width = max(map(len, rows), default=0)
+        int_rows, at = [], 0
+        for row in rows:
+            int_rows.append(tuple(flat[at:at + len(row)]) + (0,) * (width - len(row)))
+            at += len(row)
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
+        object.__setattr__(self, "_den", den)
 
     def __call__(self, k1, k2) -> Fraction:
-        k1, k2 = as_rational(k1), as_rational(k2)
-        total = Fraction(0)
-        p1 = Fraction(1)
-        for row in self.coefficients:
-            p2 = Fraction(1)
-            for c in row:
-                if c:
-                    total += c * p1 * p2
-                p2 *= k2
-            p1 *= k1
-        return total
+        a, b = numerator_denominator(k1)
+        c, e = numerator_denominator(k2)
+        rows = self._int_rows
+        total = homogeneous_horner([homogeneous_horner(r, c, e) for r in rows], a, b)
+        width = len(rows[0]) if rows else 0
+        return Fraction(total, self._den * b ** len(rows) * e**width)
 
     def specialize_k2(self, value) -> RationalPolynomial:
         """Fix k2; the result is a univariate polynomial in k1."""

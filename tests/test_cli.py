@@ -309,6 +309,33 @@ def test_recursion_from_moments(runner):
     assert body["atoms"] == [["1/3", "1/3"], ["1/2", "1/3"], ["1", "1/3"]]
 
 
+@pytest.mark.parametrize("window", ["-1", "-3"])
+@pytest.mark.parametrize("base", [{"kind": "lebesgue01"}, {"kind": "beta", "j": 3}, None])
+def test_pushforward_negative_window_is_an_error(runner, files, tmp_path, base, window):
+    measure = files["three_atoms"]
+    if base is not None:
+        measure = tmp_path / "base.json"
+        measure.write_text(json.dumps(base))
+    result = runner.invoke(
+        main, ["pushforward", "--measure", str(measure), "--p", "0,1", "--q", "1,-1",
+               "--window", window]
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: window must be >= 0\n"
+
+
+def test_pushforward_window_zero_is_the_total_mass(runner, tmp_path):
+    measure = tmp_path / "lebesgue.json"
+    measure.write_text(json.dumps({"kind": "lebesgue01"}))
+    result = runner.invoke(
+        main, ["pushforward", "--measure", str(measure), "--p", "0,1", "--q", "1,-1",
+               "--window", "0"]
+    )
+    assert result.exit_code == 0
+    assert _payload(result)["result"] == {"moments": [["1"]]}
+
+
 def test_pushforward_and_marginal(runner, files):
     pushed = runner.invoke(
         main,

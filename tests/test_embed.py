@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from shiftlab.families import bergman_rank_one, flat_head_bergman
 from shiftlab.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
+    BetaFamily,
     Lebesgue01,
     marginal,
     pushforward_atomic,
@@ -196,6 +198,38 @@ def test_poly_embed_moments_round_trip():
     for i in range(6):
         for j in range(6):
             assert table.at(i, j) == oracle.moment(i, j)
+
+
+def expansion_table(sigma, p, q, size):
+    """gamma(i, j) for i, j < size by multiplying out p^i q^j in Fractions."""
+    table = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            product = p**i * q**j
+            row.append(sum((c * sigma.moment(n) for n, c in enumerate(product.coefficients)),
+                           F(0)))
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_embed_moments_equal_expansion_table(seed):
+    rng = random.Random(seed)
+    sigma = [Lebesgue01(), BetaFamily(3), THREE_ATOMS][seed % 3]
+
+    def nonneg_poly():
+        # nonnegative coefficients keep the polynomial nonnegative on [0, oo)
+        return P(*(F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))),
+                 F(rng.randint(1, 5), rng.randint(1, 4)))
+
+    p, q = nonneg_poly(), nonneg_poly()
+    window = rng.randint(1, 9)
+    expected = expansion_table(sigma, p, q, window)
+    table = moments(poly_embed(sigma, p, q, window), window - 1)
+    for i in range(window):
+        for j in range(window):
+            assert table.at(i, j) == expected[i][j], (i, j)
 
 
 def test_poly_embed_rejects_sign_changing_polynomial():

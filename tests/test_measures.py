@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from shiftlab.measures import (
     BetaFamily,
     Lebesgue01,
     PrefixTable,
+    Pushforward2D,
     marginal,
     pushforward_atomic,
     pushforward_moments,
@@ -164,6 +166,127 @@ def test_pushforward_agrees_with_atomic_route():
     for k1 in range(7):
         for k2 in range(7):
             assert atomic.moment(k1, k2) == oracle.moment(k1, k2)
+
+
+def reference_moment(base, p, q, k1, k2):
+    """The Fraction expansion: multiply out p^k1 q^k2, then sum each nonzero
+    coefficient against its base moment."""
+    product = p**k1 * q**k2
+    return sum(
+        (c * base.moment(i) for i, c in enumerate(product.coefficients) if c), F(0)
+    )
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except IndexError as exc:
+        return (IndexError, str(exc))
+
+
+def random_poly(rng):
+    """Zero, a constant, or up to a cubic, with signed rational coefficients."""
+    degree = rng.choice([-1, 0, 1, 2, 3])
+    return P(*(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(degree + 1)))
+
+
+def random_atomic(rng):
+    atoms = sorted({F(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
+    weights = [rng.randint(1, 5) for _ in atoms]
+    return AtomicMeasure1D(tuple(atoms), tuple(F(w, sum(weights)) for w in weights))
+
+
+def random_base(rng, kind):
+    if kind == "lebesgue":
+        return Lebesgue01()
+    if kind.startswith("beta"):
+        return BetaFamily(int(kind[4:]))
+    if kind == "atomic":
+        return random_atomic(rng)
+    # prefix tables as short as one moment, so many cells run off the end
+    return PrefixTable([1] + [F(rng.randint(1, 9), rng.randint(1, 9))
+                              for _ in range(rng.randint(0, 10))])
+
+
+BASE_KINDS = ["lebesgue", "beta2", "beta3", "beta5", "atomic", "prefix"]
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_pushforward_matches_fraction_expansion(kind, seed):
+    rng = random.Random(f"{kind}-{seed}")
+    base = random_base(rng, kind)
+    p, q = random_poly(rng), random_poly(rng)
+    cells = [(k1, k2) for k1 in range(8) for k2 in range(8)]
+    rng.shuffle(cells)
+    oracle = Pushforward2D(base, p, q)
+    for k1, k2 in cells:
+        assert outcome(oracle.moment, k1, k2) == outcome(
+            reference_moment, base, p, q, k1, k2
+        ), (k1, k2)
+    # a second read of every cell returns the memoized value or raises again
+    for k1, k2 in reversed(cells):
+        assert outcome(oracle.moment, k1, k2) == outcome(
+            reference_moment, base, p, q, k1, k2
+        )
+
+
+@pytest.mark.parametrize("p", [P(), P(F(-2, 3)), P(1, F(-1, 2), 3)])
+def test_pushforward_short_prefix_table_raises_where_expansion_reads_past_it(p):
+    table = PrefixTable((1, F(1, 2), F(1, 3)))
+    zero = P()
+    oracle = Pushforward2D(table, p, zero)
+    # q = 0: every cell with k2 >= 1 is zero and never reads the table, even
+    # after a cell of the same row ran off its end
+    for k1 in (5, 0, 3, 1):
+        for k2 in (4, 0, 1):
+            expected = outcome(reference_moment, table, p, zero, k1, k2)
+            assert outcome(oracle.moment, k1, k2) == expected
+            if k2 >= 1:
+                assert expected == 0
+    message = (IndexError, "moment table holds indices 0..2")
+    if p.degree >= 1:
+        assert outcome(oracle.moment, 5, 0) == message
+    swapped = Pushforward2D(table, zero, p)
+    for k1, k2 in ((3, 0), (0, 3), (2, 1), (0, 1)):
+        assert outcome(swapped.moment, k1, k2) == outcome(
+            reference_moment, table, zero, p, k1, k2
+        )
+
+
+def test_pushforward_memo_survives_a_failed_cell():
+    table = PrefixTable((1, F(1, 2), F(1, 3)))
+    oracle = Pushforward2D(table, R, R)
+    assert oracle.moment(1, 1) == F(1, 3)
+    with pytest.raises(IndexError, match=r"^moment table holds indices 0\.\.2$"):
+        oracle.moment(2, 1)
+    assert oracle.moment(0, 2) == F(1, 3)
+    assert oracle.moment(1, 0) == F(1, 2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pushforward_oracle_equals_atomic_image_measure(seed):
+    rng = random.Random(seed)
+    sigma = random_atomic(rng)
+    p, q = random_poly(rng), random_poly(rng)
+    # lift each polynomial by a constant so it is nonnegative at every atom,
+    # keeping any negative higher coefficients
+    p, q = (f + P(max([F(0)] + [-f(a) for a in sigma.atoms])) for f in (p, q))
+    image = pushforward_atomic(sigma, p, q)
+    oracle = Pushforward2D(sigma, p, q)
+    for k1 in range(7):
+        for k2 in range(7):
+            assert oracle.moment(k1, k2) == image.moment(k1, k2)
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (-2, 3)])
+def test_pushforward_rejects_negative_indices(cell):
+    oracle = Pushforward2D(Lebesgue01(), R, P(1, -1))
+    with pytest.raises(ValueError, match="moment indices must be >= 0"):
+        oracle.moment(*cell)
+    with pytest.raises(ValueError, match="moment indices must be >= 0"):
+        row_measure(oracle, -1)
 
 
 def test_pushforward_rejects_inexact_base():

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from shiftlab.errors import TailExhausted, ZeroMoment
+from shiftlab.exactcore import RationalPolynomial
 from shiftlab.families import bergman_rank_one, flat_head_bergman
 from shiftlab.measures import AtomicMeasure1D, Lebesgue01
 from shiftlab.shift1d import (
+    RationalWeightRule,
     Shift1D,
     agler,
     bergman,
@@ -35,6 +38,42 @@ def test_negative_moment_count_is_rejected():
     assert bergman().moments(0) == []
     with pytest.raises(ValueError, match="count"):
         bergman().moments(-3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rule_weight_matches_fraction_quotient(seed):
+    rng = random.Random(seed)
+
+    def poly():
+        return RationalPolynomial(tuple(F(rng.randint(-7, 7), rng.randint(1, 6))
+                                        for _ in range(rng.randint(0, 4))))
+
+    num, den = poly(), poly()
+    rule = RationalWeightRule(num, den, start=rng.randint(0, 3))
+    for k in [*range(-2, 30), F(5, 2), F(-7, 3)]:
+        if k < rule.start:
+            with pytest.raises(ValueError) as err:
+                rule.weight_sq(k)
+            assert str(err.value) == f"rule starts at index {rule.start}, got {k}"
+        elif den(k) == 0:
+            with pytest.raises(ZeroDivisionError) as err:
+                rule.weight_sq(k)
+            assert str(err.value) == f"tail denominator vanishes at index {k}"
+        else:
+            value = rule.weight_sq(k)
+            assert type(value) is F and value == num(k) / den(k), k
+
+
+def test_rule_zero_denominator_messages_are_unchanged():
+    rule = RationalWeightRule(RationalPolynomial.of(1), RationalPolynomial.of(-3, 1), start=1)
+    with pytest.raises(ValueError, match=r"^rule starts at index 1, got 0$"):
+        rule.weight_sq(0)
+    with pytest.raises(ZeroDivisionError, match=r"^tail denominator vanishes at index 3$"):
+        rule.weight_sq(3)
+    with pytest.raises(ZeroDivisionError, match=r"^tail denominator vanishes at index 2$"):
+        RationalWeightRule(RationalPolynomial.of(1), RationalPolynomial(())).weight_sq(2)
+    assert rule.weight_sq(4) == 1
+    assert rule == RationalWeightRule(RationalPolynomial.of(1), RationalPolynomial.of(-3, 1), 1)
 
 
 def test_unweighted_moments():

@@ -1,13 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from shiftlab.descriptors import shift2d_from_descriptor
 from shiftlab.errors import CommutativityViolation, WindowTooSmall
 from shiftlab.families import bergman_rank_one, flat_head_bergman
 from shiftlab.embed import classical_embed
 from shiftlab.measures import BetaFamily
 from shiftlab.shift1d import bergman, power_decompose
 from shiftlab.shift2d import (
+    BivariatePoly,
+    BivariateRational,
+    GeneratorRule,
     Shift2D,
     col,
     corner_restrict,
@@ -91,6 +96,141 @@ def test_moments_beyond_window_fail():
     shift = classical_embed(bergman(), 4)
     with pytest.raises(WindowTooSmall):
         moments(shift, 10)
+
+
+# -- generator rules -------------------------------------------------------------
+
+
+def reference_eval(rows, k1, k2):
+    """Sum of c[i][j] k1^i k2^j, term by term in Fractions."""
+    k1, k2 = F(k1), F(k2)
+    return sum(
+        (F(c) * k1**i * k2**j for i, row in enumerate(rows) for j, c in enumerate(row)),
+        F(0),
+    )
+
+
+BIVARIATE_ROWS = [
+    (),
+    ((),),
+    ((), (), ()),
+    ((F(5, 2),),),
+    ((2, 1), (1,)),
+    ((1,), (), (F(-3, 4), 0, 7)),
+    ((0, 0, F(1, 3)), (F(-2, 5),), (), (1, -1)),
+    ((F(7, 6), F(-1, 9), 0, 0), (0,), (F(4, 3), 2)),
+]
+ARGUMENTS = [0, 1, 2, 7, -1, -3, F(1, 2), F(-5, 3), F(9, 4), "2/7"]
+
+
+@pytest.mark.parametrize("rows", BIVARIATE_ROWS)
+def test_bivariate_poly_matches_term_by_term_evaluation(rows):
+    poly = BivariatePoly(rows)
+    for k1 in ARGUMENTS:
+        for k2 in ARGUMENTS:
+            value = poly(k1, k2)
+            assert type(value) is F
+            assert value == reference_eval(rows, k1, k2), (k1, k2)
+
+
+def test_bivariate_poly_rejects_float_arguments():
+    with pytest.raises(TypeError):
+        BivariatePoly(((1, 1),))(0.5, 1)
+
+
+def _bimul(a, b):
+    """Product of two coefficient matrices, rows trimmed of trailing zeros."""
+    terms = {}
+    for i, row_a in enumerate(a):
+        for j, x in enumerate(row_a):
+            for k, row_b in enumerate(b):
+                for ell, y in enumerate(row_b):
+                    terms[i + k, j + ell] = terms.get((i + k, j + ell), 0) + x * y
+    rows = [[terms.get((i, j), 0) for j in range(1 + max(j for _, j in terms))]
+            for i in range(1 + max(i for i, _ in terms))]
+    for row in rows:
+        while row and row[-1] == 0:
+            row.pop()
+    return rows
+
+
+def random_generator(rng):
+    """alpha = f(k1)/(k1 + k2 + c) and beta = g(k2)/(k1 + k2 + c), with f, g
+    ratios of polynomials with positive constant terms and nonnegative
+    coefficients: the weights are positive and the pair commutes."""
+
+    def positive():
+        return F(rng.randint(1, 9), rng.randint(1, 5))
+
+    def one_variable(along_k1):
+        coeffs = [positive()] + [rng.choice([0, positive()]) for _ in range(rng.randint(1, 3))]
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        # a zero coefficient along k1 is an empty row
+        return [[c] if c else [] for c in coeffs] if along_k1 else [coeffs]
+
+    shared = [[positive(), 1], [1]]
+    rows = {
+        "alpha_num": one_variable(True),
+        "alpha_den": _bimul(one_variable(True), shared),
+        "beta_num": one_variable(False),
+        "beta_den": _bimul(one_variable(False), shared),
+    }
+    return {"kind": "generator",
+            **{key: [[str(x) for x in row] for row in value] for key, value in rows.items()}}
+
+
+SIE_DESCRIPTOR = {
+    "kind": "generator",
+    "alpha_num": [["1"], ["1"]], "alpha_den": [["2", "1"], ["1"]],
+    "beta_num": [["1", "1"]], "beta_den": [["2", "1"], ["1"]],
+}
+GENERATOR_CASES = {
+    "sie_bergman": (sie_bergman, SIE_DESCRIPTOR),
+    "helton_howe": (helton_howe, {"kind": "generator", "alpha_num": [["1"]],
+                                  "alpha_den": [["1"]], "beta_num": [["1"]],
+                                  "beta_den": [["1"]]}),
+    **{f"generator-{seed}": (None, random_generator(random.Random(seed))) for seed in range(3)},
+}
+WIDEST = 41
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_rule_grids_match_term_by_term_evaluation(name):
+    build, descriptor = GENERATOR_CASES[name]
+    cells = [(i, j) for i in range(WIDEST) for j in range(WIDEST)]
+    expected = {}
+    for key in ("alpha", "beta"):
+        num, den = descriptor[f"{key}_num"], descriptor[f"{key}_den"]
+        expected[key] = {
+            (i, j): reference_eval(num, i, j) / reference_eval(den, i, j) for i, j in cells
+        }
+    for window in range(1, WIDEST + 1):
+        if build is None:
+            shift = shift2d_from_descriptor(descriptor, window=window)
+        else:
+            shift = build(window)
+        assert shift.window == window
+        for i in range(window):
+            for j in range(window):
+                assert shift.alpha_grid[i][j] == expected["alpha"][i, j], (window, i, j)
+                assert shift.beta_grid[i][j] == expected["beta"][i, j], (window, i, j)
+    # the rule extends the grid past its window with the same values
+    shift = shift2d_from_descriptor(descriptor, window=1)
+    assert shift.alpha_sq(WIDEST - 1, 3) == expected["alpha"][WIDEST - 1, 3]
+    assert shift.beta_sq(2, WIDEST - 1) == expected["beta"][2, WIDEST - 1]
+
+
+def test_rule_zero_denominator_message_is_unchanged():
+    one = BivariatePoly(((1,),))
+    vanishing = BivariatePoly(((-2,), (1,)))  # k1 - 2
+    rule = GeneratorRule(BivariateRational(one, vanishing), BivariateRational(one, one))
+    with pytest.raises(ZeroDivisionError) as err:
+        Shift2D.from_rule(rule, 4)
+    assert str(err.value) == "generator denominator vanishes at (2,0)"
+    with pytest.raises(ZeroDivisionError) as err:
+        rule.alpha_sq(2, F(1, 3))
+    assert str(err.value) == "generator denominator vanishes at (2,1/3)"
 
 
 # -- six-point screen -----------------------------------------------------------
