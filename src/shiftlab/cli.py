@@ -45,10 +45,8 @@ from .shift1d import (
 )
 from .shift2d import (
     DEFAULT_WINDOW_2D,
-    grid_reach,
     k_hyponormal_2v,
     moments,
-    power_components,
     restrict,
     six_point,
     spherical_check,
@@ -138,9 +136,9 @@ def _coeffs(text: str, name: str) -> RationalPolynomial:
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        data = [piece.strip() for piece in text.split(",")]
+        data = None
     if not isinstance(data, list):
-        raise DescriptorError(f"--{name} must be a coefficient list")
+        data = [piece.strip() for piece in text.split(",")]
     return RationalPolynomial(tuple(_rational_option(c, name) for c in data))
 
 
@@ -265,10 +263,9 @@ def khypo2(shift_file, k, window, power, restriction, as_csv):
     data = _load(shift_file)
     power = _int_tuple(power, "power", 2)
     restriction = _int_tuple(restriction, "restriction", 4)
-    shift = shift2d_from_descriptor(
-        data, window=grid_reach(k, window, power, restriction)
+    targets = sweep_targets(
+        lambda size: shift2d_from_descriptor(data, window=size), k, window, power, restriction
     )
-    targets = sweep_targets(shift, power, restriction)
     verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
     holds = all(v.holds for v in verdicts)
     return {
@@ -292,7 +289,7 @@ def khypo2(shift_file, k, window, power, restriction, as_csv):
 def sixpoint(shift_file, window, as_csv):
     """Exact six-point hyponormality test of the self-commutator matrices."""
     data = _load(shift_file)
-    shift = shift2d_from_descriptor(data, window=grid_reach(1, window))
+    (shift,) = sweep_targets(lambda size: shift2d_from_descriptor(data, window=size), 1, window)
     verdict = six_point(shift, window)
     return {
         "command": "sixpoint",
@@ -406,8 +403,10 @@ def restrict_cmd(shift_file, m, n, p, q, window, as_csv):
 def power_cmd(shift_file, m, n, k, window, as_csv):
     """k-hyponormality of every component of the (m,n) power."""
     data = _load(shift_file)
-    shift = shift2d_from_descriptor(data, window=grid_reach(k, window, power=(m, n)))
-    verdicts = [k_hyponormal_2v(part, k, window) for part in power_components(shift, m, n)]
+    targets = sweep_targets(
+        lambda size: shift2d_from_descriptor(data, window=size), k, window, power=(m, n)
+    )
+    verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
     holds = all(v.holds for v in verdicts)
     return {
         "command": "power",

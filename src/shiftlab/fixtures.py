@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from functools import partial
 
 from .embed import (
     StallReport,
@@ -38,14 +39,7 @@ from .shift1d import (
     k_hyponormal,
     power_decompose,
 )
-from .shift2d import (
-    corner_restrict,
-    grid_reach,
-    k_hyponormal_2v,
-    moments,
-    power_components,
-    restrict,
-)
+from .shift2d import corner_restrict, grid_reach, k_hyponormal_2v, moments, sweep_targets
 
 THREE_ATOMS = AtomicMeasure1D((F(1, 3), F(1, 2), 1), (F(1, 3), F(1, 3), F(1, 3)))
 
@@ -70,57 +64,42 @@ def _result(name, passed, detail=""):
 # ---------------------------------------------------------------------------
 
 
+def _sweep(build, k, window, **select):
+    """Lazy k-hyponormality verdicts of the shifts ``sweep_targets`` selects."""
+    return (k_hyponormal_2v(t, k, window) for t in sweep_targets(build, k, window, **select))
+
+
 def rank_one_threshold_fixture() -> list:
     """Exact positivity boundaries of the rank-one family (x, 2/3, 3/4, ...)
     under the diagonal embedding, and of its (2,3) sublattice restriction."""
     out = []
-    for k, boundary in ((1, F(2, 3)), (2, F(9, 16)), (3, F(8, 15))):
-        window = grid_reach(k, EMBEDDING_WINDOW)
-        at = k_hyponormal_2v(
-            classical_embed(bergman_rank_one(boundary), window), k, EMBEDDING_WINDOW
+    for k, boundary, restriction in (
+        (1, F(2, 3), None),
+        (2, F(9, 16), None),
+        (3, F(8, 15), None),
+        (2, F(49, 90), (2, 3, 0, 0)),
+    ):
+        at, above = (
+            next(_sweep(partial(classical_embed, bergman_rank_one(x)), k, EMBEDDING_WINDOW,
+                        restriction=restriction))
+            for x in (boundary, boundary + STEP)
         )
-        above = k_hyponormal_2v(
-            classical_embed(bergman_rank_one(boundary + STEP), window),
-            k,
-            EMBEDDING_WINDOW,
-        )
-        out.append(
-            _result(
-                f"embedding k={k} boundary {boundary}",
-                at.holds and not above.holds,
-                f"PSD at {boundary}, first failure above at base {above.first_failure}",
-            )
-        )
-    window = grid_reach(2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
-    boundary = F(49, 90)
-    at = k_hyponormal_2v(
-        restrict(classical_embed(bergman_rank_one(boundary), window), 2, 3, 0, 0),
-        2,
-        EMBEDDING_WINDOW,
-    )
-    above = k_hyponormal_2v(
-        restrict(classical_embed(bergman_rank_one(boundary + STEP), window), 2, 3, 0, 0),
-        2,
-        EMBEDDING_WINDOW,
-    )
-    out.append(
-        _result(
-            "(2,3)-restriction k=2 boundary 49/90",
-            at.holds and not above.holds,
-            f"first failure above at base {above.first_failure}",
-        )
-    )
+        detail = f"first failure above at base {above.first_failure}"
+        if restriction is None:
+            name = f"embedding k={k} boundary {boundary}"
+            detail = f"PSD at {boundary}, {detail}"
+        else:
+            name = f"(2,3)-restriction k={k} boundary {boundary}"
+        out.append(_result(name, at.holds and not above.holds, detail))
     return out
 
 
 def restriction_gap_fixture() -> FixtureResult:
     """Inside (49/90, 9/16] the embedding is 2-hyponormal while its (2,3)
     restriction is not; checked at x = 5/9."""
-    x = F(5, 9)
-    window = grid_reach(2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
-    embedding = classical_embed(bergman_rank_one(x), window)
-    whole = k_hyponormal_2v(embedding, 2, EMBEDDING_WINDOW)
-    part = k_hyponormal_2v(restrict(embedding, 2, 3, 0, 0), 2, EMBEDDING_WINDOW)
+    embedding = partial(classical_embed, bergman_rank_one(F(5, 9)))
+    (whole,) = _sweep(embedding, 2, EMBEDDING_WINDOW)
+    (part,) = _sweep(embedding, 2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
     return _result(
         "2-hyponormal embedding with non-2-hyponormal (2,3) restriction at x=5/9",
         whole.holds and not part.holds,
@@ -133,24 +112,17 @@ def flat_head_power_fixture() -> list:
     (2,3) power has a failing component and its (2,2) power fails k = 2;
     the corner restriction fails k = 2 itself, yet its (3,3) and (4,4)
     powers pass k = 2."""
-    x = F(3, 5)
     out = []
-    base = flat_head_bergman(x)
-    embedding = classical_embed(base, grid_reach(1, EMBEDDING_WINDOW))
-    out.append(
-        _result(
-            "flat-head embedding passes k=1",
-            k_hyponormal_2v(embedding, 1, EMBEDDING_WINDOW).holds,
-        )
-    )
-    wide = classical_embed(base, grid_reach(1, COMPONENT_WINDOW, power=(2, 3)))
+    embedding = partial(classical_embed, flat_head_bergman(F(3, 5)))
+    (whole,) = _sweep(embedding, 1, EMBEDDING_WINDOW)
+    out.append(_result("flat-head embedding passes k=1", whole.holds))
     failing = [
         pq
-        for pq, part in zip(
+        for pq, verdict in zip(
             [(p, q) for p in range(2) for q in range(3)],
-            power_components(wide, 2, 3),
+            _sweep(embedding, 1, COMPONENT_WINDOW, power=(2, 3)),
         )
-        if not k_hyponormal_2v(part, 1, COMPONENT_WINDOW).holds
+        if not verdict.holds
     ]
     out.append(
         _result(
@@ -159,35 +131,21 @@ def flat_head_power_fixture() -> list:
             f"failing components {failing}",
         )
     )
-    square = classical_embed(base, grid_reach(2, COMPONENT_WINDOW, power=(2, 2)))
     square_power_failing = any(
-        not k_hyponormal_2v(part, 2, COMPONENT_WINDOW).holds
-        for part in power_components(square, 2, 2)
+        not verdict.holds for verdict in _sweep(embedding, 2, COMPONENT_WINDOW, power=(2, 2))
     )
-    out.append(
-        _result(
-            "(2,2) power of the embedding fails k=2",
-            square_power_failing,
-        )
-    )
-    # the (1,1) corner is one step smaller than its source and must host the
-    # (4,4) power sweep, the widest one below
-    corner_source = classical_embed(
-        base, grid_reach(2, COMPONENT_WINDOW, power=(4, 4)) + 1
-    )
-    corner = corner_restrict(corner_source, 1, 1)
-    out.append(
-        _result(
-            "corner restriction fails k=2",
-            not k_hyponormal_2v(corner, 2, EMBEDDING_WINDOW).holds,
-        )
-    )
-    verdicts = {}
-    for m in (3, 4):
-        verdicts[m] = all(
-            k_hyponormal_2v(part, 2, COMPONENT_WINDOW).holds
-            for part in power_components(corner, m, m)
-        )
+    out.append(_result("(2,2) power of the embedding fails k=2", square_power_failing))
+
+    def corner(size):
+        # the (1,1) corner is one step smaller than its source
+        return corner_restrict(embedding(size + 1), 1, 1)
+
+    (corner_whole,) = _sweep(corner, 2, EMBEDDING_WINDOW)
+    out.append(_result("corner restriction fails k=2", not corner_whole.holds))
+    verdicts = {
+        m: all(verdict.holds for verdict in _sweep(corner, 2, COMPONENT_WINDOW, power=(m, m)))
+        for m in (3, 4)
+    }
     out.append(
         _result(
             "corner restriction: (3,3) and (4,4) powers pass k=2",

@@ -290,6 +290,8 @@ class RowMeasure:
     kind = "row_measure"
 
     def __init__(self, mu, j: int):
+        if j < 0:
+            raise ValueError("row index must be nonnegative")
         mass = mu.moment(0, j)
         if mass == 0:
             raise ZeroMass(f"row {j} carries zero mass")

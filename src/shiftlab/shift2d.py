@@ -362,6 +362,27 @@ def six_point(shift: Shift2D, window: int = DEFAULT_WINDOW_2D) -> SixPointVerdic
 # ---------------------------------------------------------------------------
 
 
+def _sublattice(shift: Shift2D, m: int, n: int, p: int, q: int, too_small: str) -> Shift2D:
+    """The (m,n,p,q) sublattice of ``restrict`` and ``corner_restrict``;
+    ``too_small`` is the error raised when no cell fits."""
+    size = min((shift.window - p) // m, (shift.window - q) // n)
+    if size < 1:
+        raise WindowTooSmall(too_small)
+    alpha = [[None] * size for _ in range(size)]
+    beta = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            a = shift.alpha_sq(m * i + p, n * j + q)
+            for offset in range(1, m):
+                a *= shift.alpha_sq(m * i + p + offset, n * j + q)
+            b = shift.beta_sq(m * i + p, n * j + q)
+            for offset in range(1, n):
+                b *= shift.beta_sq(m * i + p, n * j + q + offset)
+            alpha[i][j] = a
+            beta[i][j] = b
+    return Shift2D(alpha, beta)
+
+
 def restrict(shift: Shift2D, m: int, n: int, p: int, q: int) -> Shift2D:
     """Restriction to the sublattice of points (m*i + p, n*j + q).
 
@@ -370,36 +391,16 @@ def restrict(shift: Shift2D, m: int, n: int, p: int, q: int) -> Shift2D:
     """
     if m < 1 or n < 1 or not (0 <= p < m) or not (0 <= q < n):
         raise ValueError("need m,n >= 1 and 0 <= p < m, 0 <= q < n")
-    size = min((shift.window - p) // m, (shift.window - q) // n)
-    if size < 1:
-        raise WindowTooSmall(
-            f"window {shift.window} cannot host a ({m},{n}) restriction at ({p},{q})"
-        )
-    alpha = [[None] * size for _ in range(size)]
-    beta = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            a = Fraction(1)
-            for offset in range(m):
-                a *= shift.alpha_sq(m * i + p + offset, n * j + q)
-            b = Fraction(1)
-            for offset in range(n):
-                b *= shift.beta_sq(m * i + p, n * j + q + offset)
-            alpha[i][j] = a
-            beta[i][j] = b
-    return Shift2D(alpha, beta)
+    too_small = f"window {shift.window} cannot host a ({m},{n}) restriction at ({p},{q})"
+    return _sublattice(shift, m, n, p, q, too_small)
 
 
 def corner_restrict(shift: Shift2D, p: int, q: int) -> Shift2D:
     """Restriction to the invariant corner of points with k1 >= p, k2 >= q."""
     if p < 0 or q < 0:
         raise ValueError("corner offsets must be nonnegative")
-    size = shift.window - max(p, q)
-    if size < 1:
-        raise WindowTooSmall(f"window {shift.window} too small for corner ({p},{q})")
-    alpha = [[shift.alpha_sq(i + p, j + q) for j in range(size)] for i in range(size)]
-    beta = [[shift.beta_sq(i + p, j + q) for j in range(size)] for i in range(size)]
-    return Shift2D(alpha, beta)
+    too_small = f"window {shift.window} too small for corner ({p},{q})"
+    return _sublattice(shift, 1, 1, p, q, too_small)
 
 
 def power_components(shift: Shift2D, m: int, n: int) -> list:
@@ -411,8 +412,14 @@ def power_components(shift: Shift2D, m: int, n: int) -> list:
     return [restrict(shift, m, n, p, q) for p in range(m) for q in range(n)]
 
 
-def sweep_targets(shift: Shift2D, power=None, restriction=None) -> list:
-    """The shifts a sweep tests: a restriction, every power component, or ``shift``."""
+def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> list:
+    """The shifts a k-hyponormality sweep over u1 + u2 <= window tests.
+
+    ``build(n)`` returns the shift on an n x n grid; it is called once, at the
+    sweep's ``grid_reach``. The targets are the restriction (m, n, p, q), every
+    component of the power (m, n) in row-major (p, q) order, or the whole shift.
+    """
+    shift = build(grid_reach(k, window, power, restriction))
     if power is not None and restriction is not None:
         raise ValueError("choose either a power or a restriction, not both")
     if restriction is not None:

@@ -9,6 +9,7 @@ boundary to a requested width and can confirm an exact candidate value.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,13 +19,7 @@ from .embed import classical_embed
 from .errors import DescriptorError, NotMonotone
 from .exactcore import format_rational
 from .shift1d import DEFAULT_WINDOW_1D, k_hyponormal
-from .shift2d import (
-    DEFAULT_WINDOW_2D,
-    grid_reach,
-    k_hyponormal_2v,
-    six_point,
-    sweep_targets,
-)
+from .shift2d import DEFAULT_WINDOW_2D, k_hyponormal_2v, six_point, sweep_targets
 
 PREDICATE_OPS = ("khypo1", "khypo2", "sixpoint")
 CANDIDATE_MARGIN = Fraction(1, 1000)
@@ -104,10 +99,8 @@ def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
         window = query.window if query.window is not None else DEFAULT_WINDOW_1D
         return k_hyponormal(shift, query.k, window).holds
     window = query.window if query.window is not None else DEFAULT_WINDOW_2D
-    embedding = classical_embed(
-        shift, grid_reach(query.k, window, query.power, query.restriction)
-    )
-    targets = sweep_targets(embedding, query.power, query.restriction)
+    build = functools.partial(classical_embed, shift)
+    targets = sweep_targets(build, query.k, window, query.power, query.restriction)
     if query.op == "khypo2":
         return all(k_hyponormal_2v(t, query.k, window).holds for t in targets)
     return all(six_point(t, window).holds for t in targets)

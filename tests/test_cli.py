@@ -285,6 +285,21 @@ def test_power_and_decompose(runner, files):
     assert parts[0]["prefix_sq"] == ["1/3", "3/5", "5/7"]
 
 
+def test_power_and_khypo2_power_agree(runner, files):
+    power = runner.invoke(
+        main,
+        ["power", "--shift", files["sie"], "--m", "2", "--n", "2", "--k", "1", "--window", "4"],
+    )
+    khypo2 = runner.invoke(
+        main,
+        ["khypo2", "--shift", files["sie"], "--power", "2,2", "--k", "1", "--window", "4"],
+    )
+    assert power.exit_code == khypo2.exit_code == 0
+    by_pq = _payload(power)["result"]["components"]
+    assert list(by_pq) == ["0,0", "0,1", "1,0", "1,1"]
+    assert list(by_pq.values()) == _payload(khypo2)["result"]["components"]
+
+
 def test_curto_park(runner, files):
     result = runner.invoke(main, ["curto-park", "--measure", files["three_atoms"], "--m", "2"])
     assert result.exit_code == 0
@@ -323,6 +338,19 @@ def test_pushforward_negative_window_is_an_error(runner, files, tmp_path, base, 
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == "error: window must be >= 0\n"
+
+
+@pytest.mark.parametrize("base", ["three_atoms", "lebesgue"])
+def test_pushforward_takes_one_coefficient_polynomials(runner, files, tmp_path, base):
+    lebesgue = tmp_path / "lebesgue.json"
+    lebesgue.write_text(json.dumps({"kind": "lebesgue01"}))
+    measure = str(lebesgue) if base == "lebesgue" else files[base]
+    bare, listed = (
+        runner.invoke(main, ["pushforward", "--measure", measure, "--p", p, "--q", q])
+        for p, q in (("0", "2"), ("[0]", "[2]"))
+    )
+    assert bare.exit_code == 0
+    assert bare.stdout == listed.stdout
 
 
 def test_pushforward_window_zero_is_the_total_mass(runner, tmp_path):

@@ -285,7 +285,7 @@ def test_pushforward_rejects_negative_indices(cell):
     oracle = Pushforward2D(Lebesgue01(), R, P(1, -1))
     with pytest.raises(ValueError, match="moment indices must be >= 0"):
         oracle.moment(*cell)
-    with pytest.raises(ValueError, match="moment indices must be >= 0"):
+    with pytest.raises(ValueError, match="row index must be nonnegative"):
         row_measure(oracle, -1)
 
 
@@ -333,6 +333,14 @@ def test_row_measure_atomic_single_atom():
     nu = row_measure(mu, 3)
     for k in range(6):
         assert nu.moment(k) == F(1, 2) ** k
+
+
+@pytest.mark.parametrize(
+    "mu", [AtomicMeasure2D(((F(1, 2), F(3, 4)),), (1,)), ArclengthSegment01()]
+)
+def test_row_measure_rejects_negative_rows(mu):
+    with pytest.raises(ValueError, match="row index must be nonnegative"):
+        row_measure(mu, -1)
 
 
 def test_row_measure_zero_mass():

@@ -26,6 +26,7 @@ from shiftlab.shift2d import (
     sie_bergman,
     six_point,
     spherical_check,
+    sweep_targets,
 )
 
 
@@ -305,6 +306,48 @@ def test_grid_reach_is_enough_and_tight(k, window):
     k_hyponormal_2v(restrict(grid, 2, 3, 1, 2), k, window)
 
 
+def _cells(shift):
+    n = shift.window
+    return [(shift.alpha_sq(i, j), shift.beta_sq(i, j)) for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "select", [{}, {"power": (2, 3)}, {"power": (3, 1)}, {"restriction": (2, 3, 1, 2)}]
+)
+def test_sweep_targets_builds_once_at_grid_reach(select):
+    sizes = []
+
+    def build(size):
+        sizes.append(size)
+        return helton_howe(size)
+
+    sweep_targets(build, 2, 3, **select)
+    assert sizes == [grid_reach(2, 3, **select)]
+
+
+def test_sweep_targets_selects_whole_restriction_and_row_major_power():
+    shift = classical_embed(bergman_rank_one(F(3, 5)), grid_reach(1, 2, power=(2, 3)))
+    (whole,) = sweep_targets(lambda size: shift, 1, 2)
+    assert whole is shift
+    (part,) = sweep_targets(lambda size: shift, 1, 2, restriction=(2, 3, 1, 2))
+    assert _cells(part) == _cells(restrict(shift, 2, 3, 1, 2))
+    parts = sweep_targets(lambda size: shift, 1, 2, power=(2, 3))
+    expected = [restrict(shift, 2, 3, p, q) for p in range(2) for q in range(3)]
+    assert [_cells(t) for t in parts] == [_cells(t) for t in expected]
+
+
+def test_sweep_targets_rejects_power_and_restriction_after_the_build():
+    sizes = []
+
+    def build(size):
+        sizes.append(size)
+        return helton_howe(size)
+
+    with pytest.raises(ValueError, match="either a power or a restriction"):
+        sweep_targets(build, 1, 4, power=(3, 3), restriction=(1, 2, 0, 1))
+    assert sizes == [grid_reach(1, 4, power=(3, 3), restriction=(1, 2, 0, 1))]
+
+
 def test_khypo2_helton_howe():
     for k in (1, 2, 3):
         assert k_hyponormal_2v(helton_howe(14 + 2 * k), k, window=12).holds
@@ -386,6 +429,24 @@ def test_power_components_reject_empty_powers(m, n):
 def test_restrict_window_too_small():
     with pytest.raises(WindowTooSmall):
         restrict(sie_bergman(2), 3, 3, 0, 0)
+
+
+def test_corner_is_the_unit_step_sublattice():
+    shift = sie_bergman(6)
+    assert _cells(corner_restrict(shift, 0, 0)) == _cells(restrict(shift, 1, 1, 0, 0))
+    corner = corner_restrict(shift, 2, 1)
+    assert corner.window == 4
+    assert _cells(corner) == [
+        (shift.alpha_sq(i + 2, j + 1), shift.beta_sq(i + 2, j + 1))
+        for i in range(4)
+        for j in range(4)
+    ]
+    with pytest.raises(WindowTooSmall, match=r"^window 6 too small for corner \(6,0\)$"):
+        corner_restrict(shift, 6, 0)
+    with pytest.raises(
+        WindowTooSmall, match=r"^window 6 cannot host a \(3,4\) restriction at \(0,3\)$"
+    ):
+        restrict(shift, 3, 4, 0, 3)
 
 
 def test_corner_restriction_matches_top_row_restriction():
