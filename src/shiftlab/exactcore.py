@@ -337,59 +337,28 @@ def _rational_root_in(s: RationalPolynomial, a: Fraction, b: Fraction, lead: int
     return candidate if a < candidate < b and s(candidate) == 0 else None
 
 
-def _refine_off(chain, interval, barrier_left):
-    """Shrink an isolating interval until its left end exceeds ``barrier_left``."""
-    a, b = interval
-    while a <= barrier_left:
-        m = _nonroot_split(chain, a, b)
-        if _count_roots(chain, a, m) == 1:
-            b = m
-        else:
-            a = m
-    return a, b
-
-
 def poly_nonneg_on(p: RationalPolynomial, lo, hi) -> bool:
-    """Exact decision of ``p(x) >= 0`` for every x in [lo, hi].
+    """Exact decision of ``p(x) >= 0`` for every x in [lo, hi], in one sign pass.
 
-    Sign analysis: isolate the distinct real roots, then sample the sign of p
-    at the interval endpoints and at midpoints of the gaps. Between
-    consecutive roots the sign is constant, so the samples decide.
+    Every root at lo and at hi is divided out; inside the interval x - hi < 0,
+    so each factor (x - hi) flips the sign to test. The quotient is nonzero at
+    lo and hi, so each gap between its consecutive roots in (lo, hi) holds lo,
+    hi or the right end of an isolating interval, where its sign decides.
     """
     lo, hi = as_rational(lo), as_rational(hi)
-    if p.is_zero():
-        return True
-    if p.degree == 0:
-        return p.coefficients[0] >= 0
+    if lo > hi:
+        raise ValueError("empty interval: lo > hi")
     if p(lo) < 0 or p(hi) < 0:
         return False
-    intervals = isolate_real_roots(p, lo, hi)
-    proper = [iv for iv in intervals if iv[0] != iv[1]]
-    if proper:
-        s = square_free_part(p)
-        for endpoint in (lo, hi):
-            while s.degree >= 1 and s(endpoint) == 0:
-                s = _deflate(s, endpoint)
-        chain = sturm_chain(s)
-        refined = []
-        barrier = lo
-        for iv in proper:
-            iv = _refine_off(chain, iv, barrier)
-            refined.append(iv)
-            barrier = iv[1]
-        proper = refined
-    markers = {lo, hi}
-    for a, b in intervals:
-        markers.add(a)
-        markers.add(b)
-    for a, b in proper:
-        markers.add(a)
-        markers.add(b)
-    markers = sorted(markers)
-    samples = list(markers)
-    for u, v in zip(markers, markers[1:]):
-        samples.append((u + v) / 2)
-    return all(p(x) >= 0 for x in samples)
+    if p.is_zero() or lo == hi:
+        return True
+    sign = 1
+    for endpoint, flip in ((lo, 1), (hi, -1)):
+        while p(endpoint) == 0:
+            p = _deflate(p, endpoint)
+            sign *= flip
+    points = {lo, hi}.union(b for _, b in isolate_real_roots(p, lo, hi))
+    return all(sign * p(x) > 0 for x in points)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ class ThresholdQuery:
             )
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,9 @@ def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
         return k_hyponormal(shift, query.k, window).holds
     window = query.window if query.window is not None else DEFAULT_WINDOW_2D
     build = functools.partial(classical_embed, shift)
-    targets = sweep_targets(build, query.k, window, query.power, query.restriction)
+    # the six-point test reads the grid a k = 1 sweep reads
+    k = query.k if query.op == "khypo2" else 1
+    targets = sweep_targets(build, k, window, query.power, query.restriction)
     if query.op == "khypo2":
         return all(k_hyponormal_2v(t, query.k, window).holds for t in targets)
     return all(six_point(t, window).holds for t in targets)

@@ -439,6 +439,29 @@ def test_threshold_cli(runner, files):
     assert body["candidate_confirmed"] is True
 
 
+def _threshold(runner, files, op, k):
+    return runner.invoke(
+        main,
+        ["threshold", "--family", files["family"], "--op", op, "--k", k,
+         "--window", "15", "--precision", "1000"],
+    )
+
+
+def test_threshold_sixpoint_ignores_k(runner, files):
+    # the six-point test has no order: --k sizes no grid and changes no verdict
+    by_k1 = _threshold(runner, files, "sixpoint", "1")
+    by_k3 = _threshold(runner, files, "sixpoint", "3")
+    assert by_k1.exit_code == by_k3.exit_code == 0
+    assert _payload(by_k1)["result"] == _payload(by_k3)["result"]
+
+
+@pytest.mark.parametrize("op", ["khypo1", "khypo2", "sixpoint"])
+def test_threshold_k_below_one_is_an_error(runner, files, op):
+    result = _threshold(runner, files, op, "0")
+    assert result.exit_code == 1
+    assert result.stderr == "error: k must be >= 1\n"
+
+
 def test_csv_output_is_flat_and_stable(runner, files):
     args = ["moments1", "--shift", files["bergman"], "--count", "3", "--csv"]
     first = runner.invoke(main, args)
@@ -546,3 +569,27 @@ def test_embed_flags_and_spec_build_the_same_grid(runner, files, tmp_path, flags
     assert _payload(by_flags)["result"] == _payload(by_spec)["result"]
     inputs = _payload(by_flags)["inputs"]
     assert inputs["kind"] == spec["kind"] and inputs["window"] == 3
+
+
+# q = x(x - 9/10)(x - 1) is negative on (9/10, 1), next to its root at 1
+NEGATIVE_NEAR_ONE = ["0", "9/10", "-19/10", "1"]
+
+
+@pytest.mark.parametrize(
+    "base", [{"kind": "lebesgue01"}, {"kind": "beta", "j": 3}], ids=["lebesgue01", "beta3"]
+)
+@pytest.mark.parametrize("route", ["flags", "spec"])
+def test_embed_rejects_q_negative_next_to_a_root_at_one(runner, tmp_path, base, route):
+    if route == "flags":
+        measure = tmp_path / "base.json"
+        measure.write_text(json.dumps(base))
+        args = ["--kind", "poly", "--base", str(measure), "--p", "[0,1]",
+                "--q", json.dumps(NEGATIVE_NEAR_ONE)]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "poly", "p": [0, 1], "q": NEGATIVE_NEAR_ONE,
+                                    "base": base}))
+        args = ["--spec", str(spec)]
+    result = runner.invoke(main, ["embed", *args, "--window", "2"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: q takes negative values on [0, 1]\n"

@@ -299,6 +299,50 @@ def test_poly_nonneg_on_interval():
     assert poly_nonneg_on(P(5), 0, 1)
     assert not poly_nonneg_on(P(-5), 0, 1)
     assert poly_nonneg_on(RationalPolynomial(()), 0, 1)
+    # negative between an interior root and a root at hi, and the mirror image
+    # x -> 1 - x with the root at lo: q(19/20) = -19/8000
+    q = P(0, 1) * P(F(-9, 10), 1) * P(-1, 1)
+    assert q(F(19, 20)) == F(-19, 8000)
+    assert not poly_nonneg_on(q, 0, 1)
+    mirror = P(1, -1) * P(F(-1, 10), 1) * P(0, 1)
+    assert mirror(F(1, 20)) == F(-19, 8000)
+    assert not poly_nonneg_on(mirror, 0, 1)
+    # a one-point interval tests that point only
+    assert poly_nonneg_on(P(F(-1, 2), 1), F(1, 2), F(1, 2))
+    assert poly_nonneg_on(P(-1, 1), 2, 2)
+    assert not poly_nonneg_on(P(-1, 1), 0, 0)
+    with pytest.raises(ValueError):
+        poly_nonneg_on(P(1), 1, 0)
+
+
+def _product_with_known_roots(rng, lo, hi):
+    """c * prod (x - r)^m * (x^2 + s) with rational roots, some at lo or hi."""
+    roots = {}
+    for _ in range(rng.randint(0, 4)):
+        r = rng.choice([lo, hi, F(rng.randint(-6, 18), rng.randint(1, 9))])
+        roots[r] = roots.get(r, 0) + rng.randint(1, 3)
+    p = P(F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+    for r, m in roots.items():
+        p = p * P(-r, 1) ** m
+    if rng.random() < 0.5:
+        p = p * P(F(rng.randint(1, 9), rng.randint(1, 9)), 0, 1)
+    return p, sorted(r for r in roots if lo < r < hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(F(0), F(1)), (F(1, 2), F(2)), (F(-1, 4), F(3, 4))],
+    ids=["0-1", "1/2-2", "-1/4-3/4"],
+)
+def test_poly_nonneg_on_matches_known_roots(lo, hi):
+    # p keeps one sign between consecutive known roots, so its sign at lo, hi
+    # and at the midpoints of the gaps is the exact answer
+    rng = random.Random(f"{lo}:{hi}")
+    for _ in range(300):
+        p, inner = _product_with_known_roots(rng, lo, hi)
+        gaps = zip([lo, *inner], [*inner, hi])
+        truth = all(p(x) >= 0 for x in [lo, hi, *((a + b) / 2 for a, b in gaps)])
+        assert poly_nonneg_on(p, lo, hi) == truth, (p.coefficients, lo, hi)
 
 
 def test_poly_nonneg_root_at_endpoint():

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shiftlab import threshold
 from shiftlab.errors import NotMonotone
 from shiftlab.threshold import (
     ThresholdQuery,
@@ -115,3 +116,20 @@ def test_query_validation():
     for extra in ({"power": (2, 2)}, {"restriction": (2, 3, 0, 0)}):
         with pytest.raises(ValueError, match="khypo1"):
             query_from_descriptor(FAMILY, op="khypo1", **extra)
+    for op in ("khypo1", "khypo2", "sixpoint"):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            query_from_descriptor(FAMILY, op=op, k=0)
+
+
+def test_sixpoint_grid_is_sized_for_k1(monkeypatch):
+    ks = []
+    real = threshold.sweep_targets
+
+    def spy(build, k, window, power=None, restriction=None):
+        ks.append(k)
+        return real(build, k, window, power, restriction)
+
+    monkeypatch.setattr(threshold, "sweep_targets", spy)
+    query = query_from_descriptor(FAMILY, op="sixpoint", k=3, window=15)
+    assert evaluate_predicate(query, F(1, 2))
+    assert ks == [1]
