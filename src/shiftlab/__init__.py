@@ -82,6 +82,7 @@ from .embed import (
     EmbeddingSpec,
     StallReport,
     classical_embed,
+    classical_moments,
     poly_embed,
     recover_densities,
     row_measure_transform_check,

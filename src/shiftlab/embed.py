@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import NegativeValue, NonpositiveDensity, ZeroMoment
-from .exactcore import RationalPolynomial, as_rational, poly_nonneg_on, vandermonde_solve
+from .errors import NonpositiveDensity, ZeroMoment
+from .exactcore import RationalPolynomial, as_rational, vandermonde_solve
 from .measures import AtomicMeasure1D, AtomicMeasure2D, pushforward_moments
 from .shift1d import Shift1D, from_measure
-from .shift2d import Shift2D, moments, spherical_check
+from .shift2d import Moment2Table, Shift2D, moments, spherical_check
 
 STALL_BETA_NONPOSITIVE = "beta_nonpositive"
 STALL_DIVISION_BY_ZERO = "division_by_zero"
@@ -85,18 +85,16 @@ def classical_embed(shift: Shift1D, window: int) -> Shift2D:
     return Shift2D.diagonal(shift.weights_sq(2 * window - 1))
 
 
-def _check_nonnegativity(sigma, p: RationalPolynomial, q: RationalPolynomial):
-    kind = getattr(sigma, "kind", None)
-    if kind == "atomic1d":
-        for atom in sigma.atoms:
-            if p(atom) < 0 or q(atom) < 0:
-                raise NegativeValue(f"polynomial negative at atom {atom}")
-    elif kind in ("lebesgue01", "beta"):
-        # exact sign analysis on the full support interval [0, 1]
-        for poly, name in ((p, "p"), (q, "q")):
-            if not poly_nonneg_on(poly, 0, 1):
-                raise NegativeValue(f"{name} takes negative values on [0, 1]")
-    # prefix tables carry no support data; nothing checkable
+def classical_moments(shift: Shift1D, window: int) -> Moment2Table:
+    """Moments of ``classical_embed(shift, window)`` through window - 1.
+
+    The table ``moments`` fills from that grid, gamma(k1,k2) = gamma(k1+k2),
+    taken as prefix products of the same 2*window - 1 weights, with no grid
+    built; a bad window or weight raises what ``classical_embed`` raises.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    return Moment2Table.diagonal(shift.weights_sq(2 * window - 1))
 
 
 def poly_embed(sigma, p: RationalPolynomial, q: RationalPolynomial, window: int) -> Shift2D:
@@ -107,7 +105,6 @@ def poly_embed(sigma, p: RationalPolynomial, q: RationalPolynomial, window: int)
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    _check_nonnegativity(sigma, p, q)
     oracle = pushforward_moments(sigma, p, q)
     size = window + 1
     table = [[oracle.moment(i, j) for j in range(size)] for i in range(size)]

@@ -17,6 +17,7 @@ from functools import partial
 from .embed import (
     StallReport,
     classical_embed,
+    classical_moments,
     recover_densities,
     spherical_embed_iterative,
     spherical_embed_measure,
@@ -39,7 +40,7 @@ from .shift1d import (
     k_hyponormal,
     power_decompose,
 )
-from .shift2d import corner_restrict, grid_reach, k_hyponormal_2v, moments, sweep_targets
+from .shift2d import grid_reach, k_hyponormal_2v, moments, sweep_targets
 
 THREE_ATOMS = AtomicMeasure1D((F(1, 3), F(1, 2), 1), (F(1, 3), F(1, 3), F(1, 3)))
 
@@ -65,7 +66,7 @@ def _result(name, passed, detail=""):
 
 
 def _sweep(build, k, window, **select):
-    """Lazy k-hyponormality verdicts of the shifts ``sweep_targets`` selects."""
+    """Lazy k-hyponormality verdicts of the targets ``sweep_targets`` selects."""
     return (k_hyponormal_2v(t, k, window) for t in sweep_targets(build, k, window, **select))
 
 
@@ -80,7 +81,7 @@ def rank_one_threshold_fixture() -> list:
         (2, F(49, 90), (2, 3, 0, 0)),
     ):
         at, above = (
-            next(_sweep(partial(classical_embed, bergman_rank_one(x)), k, EMBEDDING_WINDOW,
+            next(_sweep(partial(classical_moments, bergman_rank_one(x)), k, EMBEDDING_WINDOW,
                         restriction=restriction))
             for x in (boundary, boundary + STEP)
         )
@@ -97,7 +98,7 @@ def rank_one_threshold_fixture() -> list:
 def restriction_gap_fixture() -> FixtureResult:
     """Inside (49/90, 9/16] the embedding is 2-hyponormal while its (2,3)
     restriction is not; checked at x = 5/9."""
-    embedding = partial(classical_embed, bergman_rank_one(F(5, 9)))
+    embedding = partial(classical_moments, bergman_rank_one(F(5, 9)))
     (whole,) = _sweep(embedding, 2, EMBEDDING_WINDOW)
     (part,) = _sweep(embedding, 2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
     return _result(
@@ -113,7 +114,7 @@ def flat_head_power_fixture() -> list:
     the corner restriction fails k = 2 itself, yet its (3,3) and (4,4)
     powers pass k = 2."""
     out = []
-    embedding = partial(classical_embed, flat_head_bergman(F(3, 5)))
+    embedding = partial(classical_moments, flat_head_bergman(F(3, 5)))
     (whole,) = _sweep(embedding, 1, EMBEDDING_WINDOW)
     out.append(_result("flat-head embedding passes k=1", whole.holds))
     failing = [
@@ -137,8 +138,8 @@ def flat_head_power_fixture() -> list:
     out.append(_result("(2,2) power of the embedding fails k=2", square_power_failing))
 
     def corner(size):
-        # the (1,1) corner is one step smaller than its source
-        return corner_restrict(embedding(size + 1), 1, 1)
+        # the (1,1) corner of the size + 1 grid: the size x size grid's table
+        return embedding(size + 1).sublattice(1, 1, 1, 1)
 
     (corner_whole,) = _sweep(corner, 2, EMBEDDING_WINDOW)
     out.append(_result("corner restriction fails k=2", not corner_whole.holds))

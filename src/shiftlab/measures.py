@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NegativeValue, UnsupportedBase, ZeroMass
-from .exactcore import RationalPolynomial, as_rational, integer_scaled
+from .exactcore import RationalPolynomial, as_rational, integer_scaled, poly_nonneg_on
 
 
 def _int_poly_mul(a: list, b: list) -> list:
@@ -326,8 +326,28 @@ def pushforward_atomic(
     return AtomicMeasure2D.from_pairs(pairs)
 
 
+def _check_nonnegativity(sigma, p: RationalPolynomial, q: RationalPolynomial):
+    kind = getattr(sigma, "kind", None)
+    if kind == "atomic1d":
+        for atom in sigma.atoms:
+            if p(atom) < 0 or q(atom) < 0:
+                raise NegativeValue(f"polynomial negative at atom {atom}")
+    elif kind in _EXACT_1D_KINDS:
+        # exact sign analysis on the support interval [0, support_bound]
+        bound = sigma.support_bound
+        for poly, name in ((p, "p"), (q, "q")):
+            if not poly_nonneg_on(poly, 0, bound):
+                raise NegativeValue(f"{name} takes negative values on [0, {bound}]")
+
+
 def pushforward_moments(sigma, p: RationalPolynomial, q: RationalPolynomial) -> Pushforward2D:
-    """Exact pushforward oracle for any base with exact monomial moments."""
+    """Exact pushforward oracle for any base with exact monomial moments.
+
+    p and q must be nonnegative on the support of the base: at every atom,
+    or on [0, support_bound] for the continuous kinds; otherwise the image is
+    no measure on the closed first quadrant and ``NegativeValue`` is raised.
+    """
+    _check_nonnegativity(sigma, p, q)
     return Pushforward2D(sigma, p, q)
 
 

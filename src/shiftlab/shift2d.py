@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import CommutativityViolation, WindowTooSmall
 from .exactcore import (
@@ -120,6 +120,17 @@ class GeneratorRule:
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_weights(weights_sq) -> tuple:
+    """The 2N - 1 positive weights of a diagonal grid, as rationals."""
+    weights = tuple(map(as_rational, weights_sq))
+    if len(weights) % 2 == 0:
+        raise ValueError("need 2N - 1 diagonal weights for some N >= 1")
+    for i, w in enumerate(weights):
+        if w <= 0:
+            raise ValueError(f"diagonal weight {i} = {w} is not positive")
+    return weights
+
+
 class Shift2D:
     """Commuting 2-variable weighted shift on an N-by-N truncation window."""
 
@@ -164,12 +175,7 @@ class Shift2D:
         w_sq(i+j) w_sq(i+j+1)), and every cell is one of the weights: checking
         the weights checks the grid. The window is N, with no rule beyond it.
         """
-        weights = tuple(map(as_rational, weights_sq))
-        if len(weights) % 2 == 0:
-            raise ValueError("need 2N - 1 diagonal weights for some N >= 1")
-        for i, w in enumerate(weights):
-            if w <= 0:
-                raise ValueError(f"diagonal weight {i} = {w} is not positive")
+        weights = _diagonal_weights(weights_sq)
         n = (len(weights) + 1) // 2
         shift = cls.__new__(cls)
         shift.alpha_grid = shift.beta_grid = tuple(weights[i:i + n] for i in range(n))
@@ -226,6 +232,43 @@ class Moment2Table:
     def at(self, k1: int, k2: int) -> Fraction:
         return self.values[k1][k2]
 
+    @classmethod
+    def diagonal(cls, weights_sq) -> "Moment2Table":
+        """The moments of ``Shift2D.diagonal(weights_sq)`` on its N x N grid.
+
+        Every path to (a, b) multiplies the first a + b weights, so
+        gamma(a, b) = gamma1(a + b) is a prefix product; the window is N - 1,
+        the one ``moments`` fills from that grid. The weights are checked as
+        ``Shift2D.diagonal`` checks them, with the same errors.
+        """
+        weights = _diagonal_weights(weights_sq)
+        gamma = [Fraction(1)]
+        for w in weights[:-1]:
+            gamma.append(gamma[-1] * w)
+        n = (len(weights) + 1) // 2
+        return cls(n - 1, tuple(tuple(gamma[i:i + n]) for i in range(n)))
+
+    def sublattice(self, m: int, n: int, p: int, q: int) -> "Moment2Table":
+        """Moments of the (m,n,p,q) sublattice restriction of the shift.
+
+        One restricted step multiplies m (or n) consecutive weights, so the
+        restriction's moments are gamma'(i, j) = gamma(m*i + p, n*j + q) /
+        gamma(p, q): the same numbers ``moments(restrict(...))`` computes
+        from the restricted grid, read off this table with strides.
+        """
+        if m < 1 or n < 1 or p < 0 or q < 0:
+            raise ValueError("need m,n >= 1 and p,q >= 0")
+        size = min((self.window - p) // m, (self.window - q) // n)
+        if size < 0:
+            raise WindowTooSmall(
+                f"moment window {self.window} cannot host a ({m},{n}) sublattice at ({p},{q})"
+            )
+        rows = tuple(row[q::n][:size + 1] for row in self.values[p::m][:size + 1])
+        scale = self.values[p][q]
+        if scale != 1:
+            rows = tuple(tuple(v / scale for v in row) for row in rows)
+        return Moment2Table(size, rows)
+
 
 def moments(shift: Shift2D, window: int) -> Moment2Table:
     """Moment table, asserting path-independence cell by cell.
@@ -264,8 +307,10 @@ def _khypo_index_set(k: int) -> list:
 def moment_matrix(table: Moment2Table, u, k: int) -> SymMatrix:
     """Moment matrix at base point u: entry gamma_(u + a + b) over all index
     pairs a, b with |a|, |b| <= k. Order (k+1)(k+2)/2."""
-    idx = _khypo_index_set(k)
     u1, u2 = u
+    if u1 < 0 or u2 < 0:
+        raise ValueError(f"base point coordinates must be >= 0, got ({u1},{u2})")
+    idx = _khypo_index_set(k)
     rows = tuple(
         tuple(table.at(u1 + n + p, u2 + m + q) for (p, q) in idx) for (n, m) in idx
     )
@@ -306,18 +351,26 @@ def _base_points(window: int):
 
 
 def k_hyponormal_2v(
-    shift: Shift2D, k: int, window: int = DEFAULT_WINDOW_2D
+    target: Union[Shift2D, Moment2Table], k: int, window: int = DEFAULT_WINDOW_2D
 ) -> Hyponormality2VVerdict:
     """Exact k-hyponormality over base points with u1 + u2 <= window.
 
-    Builds the order-(k+1)(k+2)/2 moment matrix at each base point and
-    certifies positivity exactly. The verdict is window-scoped.
+    ``target`` is a shift, whose moments through window + 2k are computed,
+    or a ``Moment2Table`` of its moments, which must reach that far. Builds
+    the order-(k+1)(k+2)/2 moment matrix at each base point and certifies
+    positivity exactly. The verdict is window-scoped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if window < 0:
         raise ValueError("window must be >= 0")
-    table = moments(shift, window + 2 * k)
+    reach = window + 2 * k
+    table = target if isinstance(target, Moment2Table) else moments(target, reach)
+    if table.window < reach:
+        raise WindowTooSmall(
+            f"moment window {table.window} is below the {reach} a k={k} sweep "
+            f"over window {window} reads"
+        )
     for u in _base_points(window):
         verdict = psd_test(moment_matrix(table, u, k))
         if not verdict.is_psd:
@@ -389,10 +442,8 @@ def restrict(shift: Shift2D, m: int, n: int, p: int, q: int) -> Shift2D:
     This is the (p,q)-component of the (m,n)-power: stepping once in the
     restriction multiplies m consecutive horizontal (or n vertical) weights.
     """
-    if m < 1 or n < 1 or not (0 <= p < m) or not (0 <= q < n):
-        raise ValueError("need m,n >= 1 and 0 <= p < m, 0 <= q < n")
-    too_small = f"window {shift.window} cannot host a ({m},{n}) restriction at ({p},{q})"
-    return _sublattice(shift, m, n, p, q, too_small)
+    _check_restriction(m, n, p, q)
+    return _sublattice(shift, m, n, p, q, _restriction_too_small(shift.window, m, n, p, q))
 
 
 def corner_restrict(shift: Shift2D, p: int, q: int) -> Shift2D:
@@ -407,26 +458,55 @@ def power_components(shift: Shift2D, m: int, n: int) -> list:
     """All m*n sublattice components of the (m,n)-power, ordered row-major in
     (p, q). A property holds for the power iff it holds for every component.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"power exponents must be >= 1, got ({m},{n})")
+    _check_power(m, n)
     return [restrict(shift, m, n, p, q) for p in range(m) for q in range(n)]
 
 
-def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> list:
-    """The shifts a k-hyponormality sweep over u1 + u2 <= window tests.
+def _check_restriction(m: int, n: int, p: int, q: int):
+    if m < 1 or n < 1 or not (0 <= p < m) or not (0 <= q < n):
+        raise ValueError("need m,n >= 1 and 0 <= p < m, 0 <= q < n")
 
-    ``build(n)`` returns the shift on an n x n grid; it is called once, at the
-    sweep's ``grid_reach``. The targets are the restriction (m, n, p, q), every
-    component of the power (m, n) in row-major (p, q) order, or the whole shift.
+
+def _restriction_too_small(window: int, m: int, n: int, p: int, q: int) -> str:
+    return f"window {window} cannot host a ({m},{n}) restriction at ({p},{q})"
+
+
+def _restrict_table(table: Moment2Table, m: int, n: int, p: int, q: int) -> Moment2Table:
+    """``restrict`` read off the moments of a (window + 1)-square grid, with
+    the errors ``restrict`` raises on that grid."""
+    _check_restriction(m, n, p, q)
+    grid = table.window + 1
+    if min((grid - p) // m, (grid - q) // n) < 1:
+        raise WindowTooSmall(_restriction_too_small(grid, m, n, p, q))
+    return table.sublattice(m, n, p, q)
+
+
+def _check_power(m: int, n: int):
+    if m < 1 or n < 1:
+        raise ValueError(f"power exponents must be >= 1, got ({m},{n})")
+
+
+def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> list:
+    """The shifts, or moment tables, a k-hyponormality sweep over
+    u1 + u2 <= window tests.
+
+    ``build(n)`` returns the shift on an n x n grid, or its moment table
+    through window n - 1; it is called once, at the sweep's ``grid_reach``.
+    The targets are the restriction (m, n, p, q), every component of the
+    power (m, n) in row-major (p, q) order, or the whole source. A table's
+    targets are its ``sublattice`` views, so no grid is built.
     """
-    shift = build(grid_reach(k, window, power, restriction))
+    source = build(grid_reach(k, window, power, restriction))
     if power is not None and restriction is not None:
         raise ValueError("choose either a power or a restriction, not both")
+    select = restrict if isinstance(source, Shift2D) else _restrict_table
     if restriction is not None:
-        return [restrict(shift, *restriction)]
+        return [select(source, *restriction)]
     if power is not None:
-        return power_components(shift, *power)
-    return [shift]
+        m, n = power
+        _check_power(m, n)
+        return [select(source, m, n, p, q) for p in range(m) for q in range(n)]
+    return [source]
 
 
 def row(shift: Shift2D, j: int) -> Shift1D:

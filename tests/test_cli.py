@@ -573,10 +573,14 @@ def test_embed_flags_and_spec_build_the_same_grid(runner, files, tmp_path, flags
 
 # q = x(x - 9/10)(x - 1) is negative on (9/10, 1), next to its root at 1
 NEGATIVE_NEAR_ONE = ["0", "9/10", "-19/10", "1"]
+# Lebesgue measure's moments 1/(n + 1), as a table supported in [0, 1]
+LEBESGUE_TABLE = {"kind": "prefix_table", "moments": [f"1/{n + 1}" for n in range(16)]}
 
 
 @pytest.mark.parametrize(
-    "base", [{"kind": "lebesgue01"}, {"kind": "beta", "j": 3}], ids=["lebesgue01", "beta3"]
+    "base",
+    [{"kind": "lebesgue01"}, {"kind": "beta", "j": 3}, LEBESGUE_TABLE],
+    ids=["lebesgue01", "beta3", "prefix_table"],
 )
 @pytest.mark.parametrize("route", ["flags", "spec"])
 def test_embed_rejects_q_negative_next_to_a_root_at_one(runner, tmp_path, base, route):
@@ -593,3 +597,42 @@ def test_embed_rejects_q_negative_next_to_a_root_at_one(runner, tmp_path, base, 
     result = runner.invoke(main, ["embed", *args, "--window", "2"])
     assert result.exit_code == 1
     assert result.stderr == "error: q takes negative values on [0, 1]\n"
+
+
+def test_embed_checks_a_prefix_table_on_its_own_support(runner, tmp_path):
+    # 1 - x is nonnegative on [0, 1] but not on [0, 2]
+    measure = tmp_path / "base.json"
+    args = ["embed", "--kind", "poly", "--base", str(measure), "--p", "[0,1]",
+            "--q", "[1,-1]", "--window", "2"]
+    measure.write_text(json.dumps(LEBESGUE_TABLE))
+    assert runner.invoke(main, args).exit_code == 0
+    measure.write_text(json.dumps({**LEBESGUE_TABLE, "support_bound": "2"}))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr == "error: q takes negative values on [0, 2]\n"
+
+
+@pytest.mark.parametrize(
+    "base",
+    [{"kind": "lebesgue01"}, {"kind": "beta", "j": 3}, LEBESGUE_TABLE],
+    ids=["lebesgue01", "beta3", "prefix_table"],
+)
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        ("[-1]", "[1]", "p takes negative values on [0, 1]"),
+        ("[0,1]", json.dumps(NEGATIVE_NEAR_ONE), "q takes negative values on [0, 1]"),
+    ],
+    ids=["p", "q"],
+)
+def test_pushforward_rejects_polynomials_negative_on_the_support(
+    runner, tmp_path, base, p, q, message
+):
+    measure = tmp_path / "base.json"
+    measure.write_text(json.dumps(base))
+    result = runner.invoke(
+        main, ["pushforward", "--measure", str(measure), "--p", p, "--q", q, "--window", "1"]
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"

@@ -8,6 +8,7 @@ from shiftlab.embed import (
     STALL_ROW0_NOT_INCREASING,
     StallReport,
     classical_embed,
+    classical_moments,
     poly_embed,
     recover_densities,
     row_measure_transform_check,
@@ -152,6 +153,64 @@ def test_classical_embedding_matches_validated_grid(name, n):
     if name == "prefix_only":
         with pytest.raises(TailExhausted):
             classical_embed(Shift1D(diag[:-1]), n)
+
+
+def _table_outcome(f, *args):
+    """A moment table's rows, or the type and message of what the call raises."""
+    try:
+        return f(*args).values
+    except (ValueError, TailExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def _moments_of_classical_embed(shift, n):
+    return moments(classical_embed(shift, n), n - 1)
+
+
+class _RawDiagonal:
+    """A source whose weights skip Shift1D's checks, so the grid's own fire."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def weights_sq(self, count):
+        return self.weights[:count]
+
+
+CLASSICAL_MOMENT_BASES = {
+    **{name: CLASSICAL_BASES[name] for name in (
+        "bergman", "rank_one_1/2", "rank_one_9/16", "rank_one_2/3", "flat_head", "prefix_only")},
+    "prefix_one_short": lambda n: Shift1D(bergman().weights_sq(2 * n - 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_MOMENT_BASES))
+def test_classical_moments_equal_the_embedded_grids_moments(name):
+    for n in range(1, 31):
+        base = CLASSICAL_MOMENT_BASES[name](n)
+        expected = _table_outcome(_moments_of_classical_embed, base, n)
+        assert _table_outcome(classical_moments, base, n) == expected, n
+        if name == "prefix_one_short":
+            assert expected[0] is TailExhausted
+        else:
+            assert classical_moments(base, n).window == n - 1
+
+
+@pytest.mark.parametrize(
+    "base, n",
+    [
+        (bergman(), 0),
+        (bergman(), -2),
+        (Shift1D((F(1, 2), F(3, 2), F(2, 3)), norm_bound_sq=1), 2),
+        (Shift1D((F(1, 2), 0, F(2, 3))), 2),
+        (_RawDiagonal([F(1, 2), F(3, 4), 0]), 2),
+        (_RawDiagonal([F(1, 2), -1, F(3, 4)]), 2),
+    ],
+)
+def test_classical_moments_raise_what_the_embedding_raises(base, n):
+    expected = _table_outcome(_moments_of_classical_embed, base, n)
+    assert expected[0] is ValueError
+    assert _table_outcome(classical_moments, base, n) == expected
 
 
 # -- polynomial embeddings --------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shiftlab.descriptors import measure2d_from_descriptor
 from shiftlab.errors import NegativeValue, UnsupportedBase, ZeroMass
 from shiftlab.exactcore import RationalPolynomial, SymMatrix, psd_test
 from shiftlab.measures import (
@@ -287,6 +288,26 @@ def test_pushforward_rejects_negative_indices(cell):
         oracle.moment(*cell)
     with pytest.raises(ValueError, match="row index must be nonnegative"):
         row_measure(oracle, -1)
+
+
+def test_pushforward_moments_need_polynomials_nonnegative_on_the_support():
+    for base, p, q, message in (
+        (THREE_ATOMS, R, P(F(1, 2), -1), "polynomial negative at atom 1"),
+        (Lebesgue01(), P(-1), P(1), "p takes negative values on [0, 1]"),
+        (BetaFamily(3), R, P(0, 1, -1) * P(F(-1, 2), 1), "q takes negative values on [0, 1]"),
+        (PrefixTable((1, F(1, 2)), support_bound=2), R, P(1, -1),
+         "q takes negative values on [0, 2]"),
+    ):
+        with pytest.raises(NegativeValue) as err:
+            pushforward_moments(base, p, q)
+        assert str(err.value) == message
+    # only the support counts: 3r - 1 is negative below 1/3, the smallest atom
+    assert pushforward_moments(THREE_ATOMS, P(-1, 3), R).moment(1, 0) == F(5, 6)
+    assert pushforward_moments(PrefixTable((1, F(1, 2))), R, P(1, -1)).moment(0, 1) == F(1, 2)
+    with pytest.raises(NegativeValue, match=r"^p takes negative values on \[0, 1\]$"):
+        measure2d_from_descriptor(
+            {"kind": "pushforward", "base": {"kind": "lebesgue01"}, "p": [-1], "q": [1]}
+        )
 
 
 def test_pushforward_rejects_inexact_base():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from shiftlab.descriptors import shift2d_from_descriptor
 from shiftlab.errors import CommutativityViolation, WindowTooSmall
 from shiftlab.families import bergman_rank_one, flat_head_bergman
-from shiftlab.embed import classical_embed
+from shiftlab.embed import classical_embed, classical_moments
 from shiftlab.measures import BetaFamily
 from shiftlab.shift1d import bergman, power_decompose
 from shiftlab.shift2d import (
@@ -19,6 +20,7 @@ from shiftlab.shift2d import (
     grid_reach,
     helton_howe,
     k_hyponormal_2v,
+    moment_matrix,
     moments,
     power_components,
     restrict,
@@ -489,6 +491,150 @@ def test_diagonal_power_components_are_diagonal_embeddings():
                         table.at(i, j)
                         == gamma[m * (i + j) + p + q] / gamma[p + q]
                     )
+
+
+# -- sweeps over moment tables -----------------------------------------------------
+
+
+SUBLATTICE_SOURCES = {
+    "classical": partial(classical_embed, bergman_rank_one(F(3, 5))),
+    "sie_bergman": sie_bergman,
+    "generator": lambda size: shift2d_from_descriptor(
+        random_generator(random.Random(7)), window=size
+    ),
+}
+
+
+def _agrees_on(table, expected):
+    """``table`` reaches ``expected``'s window and matches it on every cell there."""
+    w = expected.window
+    return table.window >= w and all(
+        table.at(i, j) == expected.at(i, j) for i in range(w + 1) for j in range(w + 1)
+    )
+
+
+def _grid_moments(shift):
+    """The moment table a grid holds: through one step short of its size."""
+    return moments(shift, shift.window - 1)
+
+
+@pytest.mark.parametrize("name", sorted(SUBLATTICE_SOURCES))
+def test_sublattice_matches_the_restricted_grids_moments(name):
+    size = 13
+    grid = SUBLATTICE_SOURCES[name](size)
+    table = _grid_moments(grid)
+    rng = random.Random(size)
+    for _ in range(15):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        p, q = rng.randrange(m), rng.randrange(n)
+        view = table.sublattice(m, n, p, q)
+        assert view.window == min((size - 1 - p) // m, (size - 1 - q) // n)
+        assert _agrees_on(view, _grid_moments(restrict(grid, m, n, p, q))), (m, n, p, q)
+    for p, q in ((0, 0), (1, 1), (2, 1), (0, 5)):
+        view = table.sublattice(1, 1, p, q)
+        assert _agrees_on(view, _grid_moments(corner_restrict(grid, p, q))), (p, q)
+    for m, n in ((1, 1), (2, 2), (2, 3), (3, 1)):
+        views = [table.sublattice(m, n, p, q) for p in range(m) for q in range(n)]
+        parts = power_components(grid, m, n)
+        assert len(views) == len(parts)
+        assert all(_agrees_on(v, _grid_moments(part)) for v, part in zip(views, parts))
+
+
+def test_sublattice_of_a_sublattice_is_the_composed_restriction():
+    table = moments(sie_bergman(25), 24)
+    staged = table.sublattice(1, 1, 1, 1).sublattice(2, 3, 1, 2)
+    assert _agrees_on(staged, table.sublattice(2, 3, 2, 3))
+
+
+def test_sublattice_rejects_bad_steps_and_offsets_past_the_window():
+    table = moments(sie_bergman(6), 5)
+    for args in ((0, 1, 0, 0), (1, 0, 0, 0), (2, 2, -1, 0), (2, 2, 0, -1)):
+        with pytest.raises(ValueError, match="need m,n >= 1 and p,q >= 0"):
+            table.sublattice(*args)
+    assert table.sublattice(1, 1, 5, 5).values == ((1,),)
+    with pytest.raises(WindowTooSmall, match=r"moment window 5 cannot host a \(1,2\)"):
+        table.sublattice(1, 2, 0, 6)
+
+
+@pytest.mark.parametrize(
+    "select", [{}, {"power": (2, 3)}, {"power": (3, 1)}, {"restriction": (2, 3, 1, 2)}]
+)
+def test_sweep_targets_views_a_table_as_the_grid_route_restricts(select):
+    base = bergman_rank_one(F(3, 5))
+    grids = sweep_targets(partial(classical_embed, base), 2, 3, **select)
+    tables = sweep_targets(partial(classical_moments, base), 2, 3, **select)
+    assert len(tables) == len(grids)
+    assert all(_agrees_on(t, _grid_moments(g)) for t, g in zip(tables, grids))
+
+
+@pytest.mark.parametrize(
+    "window, select",
+    [
+        (4, {"restriction": (2, 3, 2, 0)}),
+        (4, {"restriction": (0, 1, 0, 0)}),
+        (4, {"restriction": (2, 3, 0, -1)}),
+        (4, {"power": (0, 2)}),
+        (4, {"power": (2, -1)}),
+        (4, {"power": (3, 3), "restriction": (1, 2, 0, 1)}),
+        # a negative window leaves a grid too small for the restriction or a
+        # component, or no grid at all
+        (-3, {"restriction": (2, 3, 1, 2)}),
+        (-3, {"restriction": (3, 2, 2, 1)}),
+        (-3, {"power": (2, 3)}),
+        (-3, {"power": (3, 1)}),
+        (-3, {"power": (2, 2)}),
+        (-9, {"power": (2, 2)}),
+    ],
+)
+def test_sweep_targets_on_a_table_raises_the_grid_routes_errors(window, select):
+    base = bergman_rank_one(F(3, 5))
+    errors = []
+    for build in (partial(classical_embed, base), partial(classical_moments, base)):
+        with pytest.raises((ValueError, WindowTooSmall)) as err:
+            sweep_targets(build, 1, window, **select)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [
+        (partial(classical_embed, bergman_rank_one(F(2, 3))), 1),
+        (partial(classical_embed, bergman_rank_one(F(2, 3) + F(1, 100))), 1),
+        (partial(classical_embed, bergman_rank_one(F(9, 16))), 2),
+        (partial(classical_embed, flat_head_bergman(F(3, 4))), 1),
+        (partial(classical_embed, flat_head_bergman(F(1, 2))), 2),
+        (sie_bergman, 3),
+    ],
+)
+def test_khypo2_reads_a_table_as_it_reads_the_shift(build, k):
+    window = 8
+    shift = build(grid_reach(k, window))
+    by_shift = k_hyponormal_2v(shift, k, window)
+    by_table = k_hyponormal_2v(moments(shift, window + 2 * k), k, window)
+    assert by_table == by_shift
+    assert by_table.first_failure == by_shift.first_failure
+    if not by_shift.holds:
+        assert by_table.certificate.certificate == by_shift.certificate.certificate
+    # a taller table gives the same verdict: the sweep reads window + 2k
+    assert k_hyponormal_2v(_grid_moments(shift), k, window) == by_shift
+
+
+def test_khypo2_rejects_a_table_short_of_the_sweep():
+    table = moments(sie_bergman(12), 10)
+    assert k_hyponormal_2v(table, 2, 6).holds  # reads exactly through 10
+    with pytest.raises(WindowTooSmall, match="moment window 10 is below the 11"):
+        k_hyponormal_2v(table, 2, 7)
+    with pytest.raises(WindowTooSmall):
+        k_hyponormal_2v(table.sublattice(2, 1, 0, 0), 1, 4)
+
+
+@pytest.mark.parametrize("u", [(-1, 0), (0, -1), (-2, -3)])
+def test_moment_matrix_rejects_negative_base_points(u):
+    table = moments(sie_bergman(6), 5)
+    with pytest.raises(ValueError, match=r"base point coordinates must be >= 0"):
+        moment_matrix(table, u, 1)
+    assert moment_matrix(table, (0, 0), 1).entries[0][0] == 1
 
 
 # -- rows, columns, spherical structure --------------------------------------------

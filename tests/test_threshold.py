@@ -2,8 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from shiftlab import threshold
+from shiftlab import shift2d, threshold
+from shiftlab.descriptors import shift1d_from_descriptor
+from shiftlab.embed import classical_embed
 from shiftlab.errors import NotMonotone
+from shiftlab.shift2d import DEFAULT_WINDOW_2D, grid_reach, k_hyponormal_2v, restrict
 from shiftlab.threshold import (
     ThresholdQuery,
     bisect_threshold,
@@ -133,3 +136,38 @@ def test_sixpoint_grid_is_sized_for_k1(monkeypatch):
     query = query_from_descriptor(FAMILY, op="sixpoint", k=3, window=15)
     assert evaluate_predicate(query, F(1, 2))
     assert ks == [1]
+
+
+@pytest.mark.parametrize("x", [F(49, 90), F(49, 90) + F(1, 100)], ids=["passing", "failing"])
+def test_khypo2_restriction_predicate_reads_one_moment_table(monkeypatch, x):
+    restriction = (2, 3, 0, 0)
+    window = DEFAULT_WINDOW_2D
+    # the grid route fixes the verdict and the base points tested up to it
+    shift = shift1d_from_descriptor(substitute_parameter(RANK_ONE_TEMPLATE, "x", x))
+    grid = classical_embed(shift, grid_reach(2, window, restriction=restriction))
+    oracle = k_hyponormal_2v(restrict(grid, *restriction), 2, window)
+    bases = [(u1, total - u1) for total in range(window + 1) for u1 in range(total + 1)]
+    if not oracle.holds:
+        bases = bases[:bases.index(oracle.first_failure) + 1]
+
+    calls = []
+    real_matrix, real_psd = shift2d.moment_matrix, shift2d.psd_test
+
+    def matrix_spy(table, u, k):
+        calls.append(("moment_matrix", u))
+        return real_matrix(table, u, k)
+
+    def psd_spy(matrix):
+        calls.append(("psd_test", matrix.order))
+        return real_psd(matrix)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a moment-table sweep builds no grid and fills no moments")
+
+    monkeypatch.setattr(shift2d, "moment_matrix", matrix_spy)
+    monkeypatch.setattr(shift2d, "psd_test", psd_spy)
+    monkeypatch.setattr(shift2d, "moments", forbidden)
+    monkeypatch.setattr(shift2d.Shift2D, "__init__", forbidden)
+    query = query_from_descriptor(FAMILY, op="khypo2", k=2, restriction=restriction)
+    assert evaluate_predicate(query, x) is oracle.holds
+    assert calls == [call for u in bases for call in (("moment_matrix", u), ("psd_test", 6))]
