@@ -612,10 +612,8 @@ def test_khypo2_reads_a_table_as_it_reads_the_shift(build, k):
     shift = build(grid_reach(k, window))
     by_shift = k_hyponormal_2v(shift, k, window)
     by_table = k_hyponormal_2v(moments(shift, window + 2 * k), k, window)
+    # equal verdicts: holds, first_failure and the failing matrix's certificate
     assert by_table == by_shift
-    assert by_table.first_failure == by_shift.first_failure
-    if not by_shift.holds:
-        assert by_table.certificate.certificate == by_shift.certificate.certificate
     # a taller table gives the same verdict: the sweep reads window + 2k
     assert k_hyponormal_2v(_grid_moments(shift), k, window) == by_shift
 
