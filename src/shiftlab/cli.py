@@ -31,7 +31,7 @@ from .descriptors import (
     shift2d_from_descriptor,
     shift2d_to_descriptor,
 )
-from .embed import EmbeddingSpec, StallReport, recover_densities
+from .embed import StallReport, recover_densities
 from .errors import DenominatorLimitExceeded, DescriptorError, ShiftLabError
 from .exactcore import RationalPolynomial, as_rational, format_rational
 from .fixtures import run_all
@@ -159,13 +159,15 @@ def _int_tuple(text, name, size):
 
 
 def run_command(func):
-    """Execute a handler with the shared timing/error/exit-code contract."""
+    """Execute a handler with the shared timing/error/exit-code contract;
+    the report's ``"command"`` key is the name of the running click command."""
 
     def wrapper(*args, **kwargs):
         started = time.perf_counter()
         try:
             payload, ok = func(*args, **kwargs)
             elapsed = time.perf_counter() - started
+            payload["command"] = click.get_current_context().command.name
             _emit(payload, kwargs.get("as_csv", False))
             # sys.exit's traceback keeps this frame, so drop the report now
             del payload
@@ -206,7 +208,6 @@ def moments1(shift_file, count, as_csv):
     shift = shift1d_from_descriptor(data)
     values = shift.moments(count)
     return {
-        "command": "moments1",
         "inputs": {"shift": data},
         "params": {"count": count},
         "result": {"moments": values},
@@ -224,7 +225,6 @@ def moments2(shift_file, window, as_csv):
     shift = shift2d_from_descriptor(data, window=window + 1)
     table = moments(shift, window)
     return {
-        "command": "moments2",
         "inputs": {"shift": data},
         "params": {"window": window},
         "result": {"moments": [list(row) for row in table.values]},
@@ -242,7 +242,6 @@ def khypo1(shift_file, k, window, as_csv):
     data = _load(shift_file)
     verdict = k_hyponormal(shift1d_from_descriptor(data), k, window)
     return {
-        "command": "khypo1",
         "inputs": {"shift": data},
         "params": {"k": k, "window": window},
         "result": verdict,
@@ -269,7 +268,6 @@ def khypo2(shift_file, k, window, power, restriction, as_csv):
     verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
     holds = all(v.holds for v in verdicts)
     return {
-        "command": "khypo2",
         "inputs": {"shift": data},
         "params": {
             "k": k,
@@ -292,7 +290,6 @@ def sixpoint(shift_file, window, as_csv):
     (shift,) = sweep_targets(lambda size: shift2d_from_descriptor(data, window=size), 1, window)
     verdict = six_point(shift, window)
     return {
-        "command": "sixpoint",
         "inputs": {"shift": data},
         "params": {"window": window},
         "result": verdict,
@@ -319,53 +316,42 @@ def embed_cmd(kind, spec_file, base_file, row0_file, p_text, q_text, c_text, win
     if spec_file is not None:
         data = _load(spec_file)
         inputs = {"spec": data}
-        spec = embedding_from_descriptor(data)
     else:
-        inputs, spec = _flag_embedding(
-            kind, window, base_file, row0_file, p_text, q_text, c_text
-        )
-    grid = spec.build(window)
+        data = _flag_descriptor(kind, base_file, row0_file, p_text, q_text, c_text)
+        inputs = {**data, "window": window}
+    grid = embedding_from_descriptor(data).build(window)
     if isinstance(grid, StallReport):
         result, ok = {"stalled": grid}, False
     else:
         result, ok = {"shift": shift2d_to_descriptor(grid)}, True
     return {
-        "command": "embed",
         "inputs": inputs,
         "params": {"window": window},
         "result": result,
     }, ok
 
 
-def _flag_embedding(kind, window, base_file, row0_file, p_text, q_text, c_text):
-    """The embedding named by the individual ``embed`` flags, with its inputs."""
+def _flag_descriptor(kind, base_file, row0_file, p_text, q_text, c_text):
+    """The ``--spec`` descriptor that the individual ``embed`` flags spell out.
+
+    Only the flags the kind reads enter it; a missing one is left for
+    ``embedding_from_descriptor`` to report.
+    """
     if kind is None:
         raise DescriptorError("embed needs --kind or --spec")
-    inputs = {"kind": kind, "window": window}
-    if kind == "classical":
-        if base_file is None:
-            raise DescriptorError("--base (a 1-variable shift descriptor) is required")
-        inputs["base"] = _load(base_file)
-        return inputs, EmbeddingSpec("classical", shift1d_from_descriptor(inputs["base"]))
+    data = {"kind": kind}
     if kind == "poly":
-        if base_file is None or p_text is None or q_text is None:
-            raise DescriptorError("--base, --p and --q are required for a poly embedding")
-        inputs["base"] = _load(base_file)
-        sigma = measure1d_from_descriptor(inputs["base"])
-        return inputs, EmbeddingSpec(
-            "poly", sigma, p=_coeffs(p_text, "p"), q=_coeffs(q_text, "q")
-        )
-    c = _rational_option(c_text, "c")
-    inputs["c"] = c
-    if row0_file is not None:
-        inputs["row0"] = _load(row0_file)
-        source = shift1d_from_descriptor(inputs["row0"])
-    elif base_file is not None:
-        inputs["base"] = _load(base_file)
-        source = measure1d_from_descriptor(inputs["base"])
-    else:
-        raise DescriptorError("spherical embedding needs --row0 or --base")
-    return inputs, EmbeddingSpec("spherical", source, c=c)
+        for name, text in (("p", p_text), ("q", q_text)):
+            if text is not None:
+                data[name] = list(_coeffs(text, name).coefficients)
+    elif kind == "spherical":
+        data["c"] = _rational_option(c_text, "c")
+        if row0_file is not None:
+            data["row0"] = _load(row0_file)
+            return data
+    if base_file is not None:
+        data["base"] = _load(base_file)
+    return data
 
 
 @main.command("restrict")
@@ -384,7 +370,6 @@ def restrict_cmd(shift_file, m, n, p, q, window, as_csv):
     shift = shift2d_from_descriptor(data, window=window)
     part = restrict(shift, m, n, p, q)
     return {
-        "command": "restrict",
         "inputs": {"shift": data},
         "params": {"m": m, "n": n, "p": p, "q": q},
         "result": {"shift": shift2d_to_descriptor(part)},
@@ -409,7 +394,6 @@ def power_cmd(shift_file, m, n, k, window, as_csv):
     verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
     holds = all(v.holds for v in verdicts)
     return {
-        "command": "power",
         "inputs": {"shift": data},
         "params": {"m": m, "n": n, "k": k, "window": window},
         "result": {
@@ -432,7 +416,6 @@ def decompose(shift_file, m, window, as_csv):
     data = _load(shift_file)
     parts = power_decompose(shift1d_from_descriptor(data), m, window)
     return {
-        "command": "decompose",
         "inputs": {"shift": data},
         "params": {"m": m, "window": window},
         "result": {"components": [shift1d_to_descriptor(part) for part in parts]},
@@ -452,7 +435,6 @@ def curto_park(measure_file, m, as_csv):
         raise DescriptorError("curto-park needs an atomic1d measure")
     nus = curto_park_measures(sigma, m)
     return {
-        "command": "curto-park",
         "inputs": {"measure": data},
         "params": {"m": m},
         "result": {"measures": [measure_to_descriptor(nu) for nu in nus]},
@@ -493,7 +475,6 @@ def recursion(moments_text, shift_file, count, max_order, as_csv):
         ),
     }
     return {
-        "command": "recursion",
         "inputs": inputs,
         "params": {"max_order": max_order},
         "result": body,
@@ -528,7 +509,6 @@ def pushforward(measure_file, p_text, q_text, window, as_csv):
             ]
         }
     return {
-        "command": "pushforward",
         "inputs": inputs,
         "params": {"window": window},
         "result": result,
@@ -548,7 +528,6 @@ def marginal_cmd(measure_file, axis, as_csv):
         raise DescriptorError("marginal needs an atomic2d measure")
     nu = marginal(mu, axis)
     return {
-        "command": "marginal",
         "inputs": {"measure": data},
         "params": {"axis": axis},
         "result": {"measure": measure_to_descriptor(nu)},
@@ -569,7 +548,6 @@ def recover(shift_file, atoms_text, window, as_csv):
     atoms = [as_rational(piece.strip()) for piece in atoms_text.split(",")]
     mu = recover_densities(shift, atoms)
     return {
-        "command": "recover",
         "inputs": {"shift": data, "atoms": list(atoms)},
         "params": {},
         "result": {"measure": measure_to_descriptor(mu)},
@@ -587,7 +565,6 @@ def spherical_check_cmd(shift_file, window, as_csv):
     shift = shift2d_from_descriptor(data, window=None if window is None else window + 2)
     constant = spherical_check(shift, window)
     return {
-        "command": "spherical-check",
         "inputs": {"shift": data},
         "params": {"window": window},
         "result": {"constant": constant},
@@ -624,7 +601,6 @@ def threshold(family_file, op, k, window, power, restriction, precision, candida
     result = bisect_threshold(query)
     ok = result.candidate_confirmed is not False
     return {
-        "command": "threshold",
         "inputs": {"family": data},
         "params": {
             "op": op,

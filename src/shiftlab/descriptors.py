@@ -8,7 +8,7 @@ JSON-path diagnostic.
 
 from __future__ import annotations
 
-from .embed import EmbeddingSpec, classical_embed
+from .embed import EmbeddingSpec
 from .errors import DescriptorError
 from .exactcore import RationalPolynomial, as_rational, format_rational
 from .measures import (
@@ -285,8 +285,7 @@ def shift2d_from_descriptor(data, path="$", window=None) -> Shift2D:
     if kind == "helton_howe":
         return helton_howe(size)
     if kind == "classical":
-        base = shift1d_from_descriptor(_require(data, "base", path), f"{path}.base")
-        return classical_embed(base, size)
+        return embedding_from_descriptor(data, path).build(size)
     if kind == "generator":
         rule = GeneratorRule(
             BivariateRational(

@@ -177,6 +177,8 @@ class PrefixTable:
         if not self.values or self.values[0] != 1:
             raise ValueError("moment(0) must be 1")
         self.support_bound = as_rational(support_bound)
+        if self.support_bound < 0:
+            raise ValueError("support_bound must be >= 0")
 
     def moment(self, k: int) -> Fraction:
         if k >= len(self.values):

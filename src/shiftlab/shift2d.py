@@ -277,6 +277,8 @@ def moments(shift: Shift2D, window: int) -> Moment2Table:
     checks the alpha route against the beta route and raises
     ``CommutativityViolation`` on the first mismatch.
     """
+    if window < 0:
+        raise ValueError("window must be >= 0")
     size = window + 1
     table = [[None] * size for _ in range(size)]
     table[0][0] = Fraction(1)
@@ -393,6 +395,11 @@ def six_point(shift: Shift2D, window: int = DEFAULT_WINDOW_2D) -> SixPointVerdic
     Y = alpha_sq(k) beta_sq(k). Its determinant a11 a22 - (sqrt(X) - sqrt(Y))^2
     is nonnegative iff R = X + Y - a11 a22 satisfies R <= 0 or 4XY >= R^2,
     which decides the test exactly in rationals.
+
+    The matrix at u is D S D, where S is the Schur complement of gamma(u) in
+    the k = 1 moment matrix at u and D = diag(gamma(u+e1), gamma(u+e2))^(-1/2);
+    so this test and ``k_hyponormal_2v(shift, 1, window)`` agree on the
+    verdict and on the first failing base point.
     """
     if window < 0:
         raise ValueError("window must be >= 0")

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 import shiftlab
 from shiftlab.cli import main
+from shiftlab.descriptors import shift2d_to_descriptor
+from shiftlab.shift2d import restrict, sie_bergman
 
 
 @pytest.fixture()
@@ -635,4 +637,166 @@ def test_pushforward_rejects_polynomials_negative_on_the_support(
     )
     assert result.exit_code == 1
     assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, shift",
+    [("spherical-check", "sie"), ("spherical-check", "grid"), ("moments2", "grid")],
+)
+def test_negative_moment_window_is_an_error(runner, files, tmp_path, command, shift):
+    path = files.get(shift)
+    if shift == "grid":
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"alpha_sq": [["1", "1"], ["1", "1"]],
+                                    "beta_sq": [["1", "1"], ["1", "1"]]}))
+    result = runner.invoke(main, [command, "--shift", str(path), "--window", "-1"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: window must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["pushforward", "embed"])
+def test_prefix_table_with_a_negative_support_bound_is_an_error(runner, tmp_path, command):
+    measure = tmp_path / "base.json"
+    measure.write_text(json.dumps({**LEBESGUE_TABLE, "support_bound": "-1"}))
+    if command == "pushforward":
+        args = ["pushforward", "--measure", str(measure), "--window", "1"]
+    else:
+        args = ["embed", "--kind", "poly", "--base", str(measure), "--window", "2"]
+    result = runner.invoke(main, [*args, "--p", "[0,1]", "--q", "[1]"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: support_bound must be >= 0\n"
+
+
+def test_restrict_matches_the_library(runner, files):
+    args = ["restrict", "--shift", files["sie"], "--m", "2", "--n", "3", "--p", "1", "--q", "2"]
+    result = runner.invoke(main, [*args, "--window", "12"])
+    assert result.exit_code == 0
+    body = _payload(result)
+    assert body["command"] == "restrict"
+    assert body["params"] == {"m": 2, "n": 3, "p": 1, "q": 2}
+    assert body["result"]["shift"] == shift2d_to_descriptor(restrict(sie_bergman(12), 2, 3, 1, 2))
+    small = runner.invoke(main, [*args, "--window", "3"])
+    assert small.exit_code == 1
+    assert small.stderr == "error: window 3 cannot host a (2,3) restriction at (1,2)\n"
+
+
+def test_fixtures_worked_examples_pass(runner):
+    result = runner.invoke(main, ["fixtures", "--seed", "0", "--skip-random"])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[-1] == "16/16 fixtures passed"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["moments1", "--shift", "bergman", "--count", "2"],
+        ["khypo1", "--shift", "bergman", "--window", "2"],
+        ["khypo2", "--shift", "sie", "--window", "1"],
+        ["sixpoint", "--shift", "sie", "--window", "1"],
+        ["embed", "--kind", "classical", "--base", "bergman", "--window", "2"],
+        ["power", "--shift", "sie", "--m", "2", "--n", "1", "--window", "1"],
+        ["decompose", "--shift", "bergman", "--m", "2", "--window", "2"],
+        ["curto-park", "--measure", "three_atoms", "--m", "2"],
+        ["recursion", "--moments", "1,1/2,1/4"],
+        ["pushforward", "--measure", "three_atoms", "--p", "0,1", "--q", "1"],
+        ["marginal", "--measure", "planar", "--axis", "y"],
+        ["spherical-check", "--shift", "sie", "--window", "1"],
+        ["threshold", "--family", "family", "--op", "khypo1", "--window", "2",
+         "--precision", "4"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_report_names_its_command(runner, files, args):
+    result = runner.invoke(main, [files.get(arg, arg) for arg in args])
+    assert result.exit_code in (0, 2)
+    assert _payload(result)["command"] == args[0]
+    csv = runner.invoke(main, [*(files.get(arg, arg) for arg in args), "--csv"])
+    assert f"command,{args[0]}\n" in csv.stdout
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "classical", "--base", "bergman"],
+        ["--kind", "poly", "--base", "three_atoms", "--p", "0,1", "--q", "[1,-1]"],
+        ["--kind", "spherical", "--c", "6/5", "--base", "three_atoms"],
+        ["--kind", "spherical", "--row0", "bergman", "--base", "three_atoms"],
+    ],
+    ids=["classical", "poly", "spherical-base", "spherical-row0"],
+)
+def test_embed_flag_inputs_are_the_spec_descriptor(runner, files, tmp_path, flags):
+    by_flags = runner.invoke(main, ["embed", *(files.get(f, f) for f in flags), "--window", "3"])
+    assert by_flags.exit_code == 0
+    inputs = _payload(by_flags)["inputs"]
+    assert inputs.pop("window") == 3
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(inputs))
+    by_spec = runner.invoke(main, ["embed", "--spec", str(path), "--window", "3"])
+    assert by_spec.exit_code == 0
+    assert _payload(by_spec)["result"] == _payload(by_flags)["result"]
+    assert _payload(by_spec)["inputs"] == {"spec": inputs}
+
+
+def test_embed_poly_flag_report_echoes_p_and_q(runner, tmp_path):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"kind": "lebesgue01"}))
+    reports = [
+        _payload(runner.invoke(main, ["embed", "--kind", "poly", "--base", str(base),
+                                      "--p", p, "--q", "1,-1", "--window", "2"]))
+        for p in ("0,1", "0,2")
+    ]
+    assert [r["inputs"]["p"] for r in reports] == [["0", "1"], ["0", "2"]]
+    assert [r["inputs"]["q"] for r in reports] == [["1", "-1"], ["1", "-1"]]
+    assert reports[0]["result"] != reports[1]["result"]
+
+
+@pytest.mark.parametrize(
+    "flags, missing",
+    [
+        (["--kind", "classical"], "base"),
+        (["--kind", "poly", "--p", "0,1", "--q", "1"], "base"),
+        (["--kind", "poly", "--base", "three_atoms", "--q", "1"], "p"),
+        (["--kind", "poly", "--base", "three_atoms", "--p", "0,1"], "q"),
+        (["--kind", "spherical", "--c", "1"], "base"),
+    ],
+    ids=["classical", "poly-base", "poly-p", "poly-q", "spherical"],
+)
+def test_embed_missing_flag_is_a_missing_descriptor_field(runner, files, flags, missing):
+    result = runner.invoke(main, ["embed", *(files.get(f, f) for f in flags), "--window", "2"])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: $: missing required field {missing!r}\n"
+
+
+def test_embed_without_kind_or_spec_is_an_error(runner):
+    result = runner.invoke(main, ["embed", "--window", "2"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: $: embed needs --kind or --spec\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "classical", "--base", "{}"],
+         "$.base: expected a shift descriptor with 'prefix_sq' or a named kind"),
+        (["--kind", "poly", "--base", "{}", "--p", "0,1", "--q", "1"],
+         "$.base: unknown 1-variable measure kind 'mystery'"),
+        (["--kind", "spherical", "--base", "{}"],
+         "$.base: unknown 1-variable measure kind 'mystery'"),
+        (["--kind", "spherical", "--row0", "{}"],
+         "$.row0: expected a shift descriptor with 'prefix_sq' or a named kind"),
+        # the coefficient flags are read before the base file
+        (["--kind", "poly", "--base", "{}", "--p", "x", "--q", "1"],
+         "$: --p must be a rational like 49/90, got 'x'"),
+    ],
+    ids=["classical", "poly", "spherical-base", "spherical-row0", "poly-p-first"],
+)
+def test_embed_flag_file_errors_name_their_field(runner, tmp_path, flags, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "mystery"}))
+    args = [str(path) if f == "{}" else f for f in flags]
+    result = runner.invoke(main, ["embed", *args, "--window", "2"])
+    assert result.exit_code == 1
     assert result.stderr == f"error: {message}\n"

@@ -36,6 +36,17 @@ def test_measure1d_named_kinds():
     assert table.moment(1) == F(1, 2)
 
 
+@pytest.mark.parametrize("bound", ["-1", "-1/100", -3])
+def test_prefix_table_rejects_a_negative_support_bound(bound):
+    data = {"kind": "prefix_table", "moments": ["1", "1/2"], "support_bound": bound}
+    with pytest.raises(ValueError) as err:
+        measure1d_from_descriptor(data)
+    assert str(err.value) == "support_bound must be >= 0"
+    # a point mass at 0 is supported in [0, 0]
+    point = measure1d_from_descriptor({**data, "moments": ["1", "0"], "support_bound": "0"})
+    assert point.support_bound == 0
+
+
 def test_measure2d_kinds():
     arc = measure2d_from_descriptor({"kind": "arclength_segment01"})
     assert arc.moment(1, 1) == F(1, 6)

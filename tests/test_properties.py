@@ -2,14 +2,16 @@
 invariants that tie independent computation paths together."""
 
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab.descriptors import shift2d_from_descriptor
 from shiftlab.embed import classical_embed
 from shiftlab.exactcore import SymMatrix, psd_test
-from shiftlab.families import bergman_rank_one
+from shiftlab.families import bergman_rank_one, flat_head_bergman
 from shiftlab.fixtures import (
     hyponormality_agreement_suite,
     marginal_coherence_suite,
@@ -18,7 +20,15 @@ from shiftlab.fixtures import (
 )
 from shiftlab.measures import AtomicMeasure1D
 from shiftlab.shift1d import detect_recursion, from_measure, power_decompose
-from shiftlab.shift2d import k_hyponormal_2v, six_point
+from shiftlab.shift2d import (
+    Shift2D,
+    helton_howe,
+    k_hyponormal_2v,
+    moments,
+    power_components,
+    sie_bergman,
+    six_point,
+)
 
 CORPUS = [
     AtomicMeasure1D((F(1, 3), F(1, 2), 1), (F(1, 3), F(1, 3), F(1, 3))),
@@ -76,6 +86,44 @@ def test_recursion_transfers_from_power_components(m):
 # -- six-point test vs the k = 1 moment-matrix test ---------------------------------
 
 
+def _generator(alpha_num, beta_num, shared):
+    """alpha = f(k1)/(k1 + k2 + c), beta = g(k2)/(k1 + k2 + c): a commuting rule."""
+    den = [[shared, "1"], ["1"]]
+    return {"kind": "generator", "alpha_num": alpha_num, "alpha_den": den,
+            "beta_num": beta_num, "beta_den": den}
+
+
+FLAT_HEAD_X = [F(1, 2), F(11, 20), F(3, 5), F(2, 3), F(3, 4)]
+SIX_POINT_SHIFTS = {
+    **{f"flat_head {x}": partial(classical_embed, flat_head_bergman(x), 12)
+       for x in FLAT_HEAD_X},
+    "sie_bergman": partial(sie_bergman, 12),
+    "helton_howe": partial(helton_howe, 12),
+    # alpha_sq = 4^k1, beta_sq = 4^k2
+    "steep": lambda: Shift2D(
+        [[4**i for _ in range(12)] for i in range(12)],
+        [[4**j for j in range(12)] for _ in range(12)],
+    ),
+    "generator (1+k1, 2+k2; 4)": partial(
+        shift2d_from_descriptor, _generator([["1"], ["1"]], [["2", "1"]], "4"), window=12
+    ),
+    "generator (3+k1^2, 1+2k2; 1)": partial(
+        shift2d_from_descriptor, _generator([["3"], ["0"], ["1"]], [["1", "2"]], "1"),
+        window=12,
+    ),
+}
+# every component of the (2,3) power of these embeddings
+POWER_BASES = {
+    **{f"flat_head {x}": flat_head_bergman(x) for x in FLAT_HEAD_X},
+    **{f"rank_one {x}": bergman_rank_one(x) for x in (F(1, 2), F(2, 3), F(3, 4))},
+}
+
+
+def _same_six_point_and_k1_verdicts(shift, window):
+    six, exact = six_point(shift, window), k_hyponormal_2v(shift, 1, window)
+    assert (six.holds, six.first_failure) == (exact.holds, exact.first_failure)
+
+
 @pytest.mark.parametrize(
     "x",
     [
@@ -90,10 +138,53 @@ def test_recursion_transfers_from_power_components(m):
     ],
 )
 def test_six_point_agrees_with_exact_k1(x):
-    embedding = classical_embed(bergman_rank_one(x), 12)
-    assert (
-        six_point(embedding, 8).holds == k_hyponormal_2v(embedding, 1, 8).holds
-    )
+    _same_six_point_and_k1_verdicts(classical_embed(bergman_rank_one(x), 12), 8)
+
+
+@pytest.mark.parametrize("name", sorted(SIX_POINT_SHIFTS))
+def test_six_point_agrees_with_exact_k1_on_more_shifts(name):
+    _same_six_point_and_k1_verdicts(SIX_POINT_SHIFTS[name](), 8)
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_six_point_agrees_with_exact_k1_on_power_components(name):
+    parts = power_components(classical_embed(POWER_BASES[name], 40), 2, 3)
+    assert len(parts) == 6
+    for part in parts:
+        _same_six_point_and_k1_verdicts(part, 8)
+
+
+def test_six_point_cross_check_meets_failures_past_the_origin():
+    # the cases above are not all passes, nor all failures at the origin
+    shifts = [make() for make in SIX_POINT_SHIFTS.values()]
+    shifts += power_components(classical_embed(flat_head_bergman(F(3, 4)), 40), 2, 3)
+    failures = [six_point(s, 8).first_failure for s in shifts]
+    assert None in failures and (0, 0) in failures
+    assert {(0, 3), (0, 1), (1, 0)} <= set(failures)
+
+
+def test_six_point_matrix_is_the_scaled_k1_schur_complement():
+    # at each base point u, with g = gamma: D S D equals the six-point matrix,
+    # S the Schur complement of g(u) in the k = 1 moment matrix and
+    # D = diag(g(u+e1), g(u+e2))^(-1/2); the off-diagonal sqrt(X) - sqrt(Y)
+    # is compared through its square and sign (sqrt(XY) is alpha_sq(u) beta_sq(u+e1))
+    for shift in (sie_bergman(10), classical_embed(flat_head_bergman(F(3, 4)), 10),
+                  SIX_POINT_SHIFTS["generator (3+k1^2, 1+2k2; 1)"]()):
+        table = moments(shift, 8)
+        a, b = shift.alpha_sq, shift.beta_sq
+        for u1, u2 in [(u1, total - u1) for total in range(6) for u1 in range(total + 1)]:
+            def g(i, j):
+                return table.at(u1 + i, u2 + j)
+
+            s11 = g(2, 0) - g(1, 0) ** 2 / g(0, 0)
+            s22 = g(0, 2) - g(0, 1) ** 2 / g(0, 0)
+            s12 = g(1, 1) - g(1, 0) * g(0, 1) / g(0, 0)
+            x = a(u1, u2 + 1) * b(u1 + 1, u2)
+            y = a(u1, u2) * b(u1, u2)
+            assert s11 / g(1, 0) == a(u1 + 1, u2) - a(u1, u2)
+            assert s22 / g(0, 1) == b(u1, u2 + 1) - b(u1, u2)
+            assert s12 ** 2 / (g(1, 0) * g(0, 1)) == x + y - 2 * a(u1, u2) * b(u1 + 1, u2)
+            assert (s12 > 0) == (x > y) and (s12 < 0) == (x < y)
 
 
 # -- hypothesis: measure-backed shifts reproduce their moments ---------------------

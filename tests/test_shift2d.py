@@ -52,6 +52,21 @@ def test_positive_weights_enforced():
         Shift2D([[1, 1], [0, 1]], [[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        ([], [], "grids must be nonempty with equal shape"),
+        ([[1, 1], [1, 1]], [[1, 1]], "grids must be nonempty with equal shape"),
+        ([[1, 1], [1]], [[1, 1], [1, 1]], "grids must be square"),
+        ([[1, 1], [1, 1]], [[1, 1, 1], [1, 1, 1]], "grids must be square"),
+    ],
+)
+def test_grid_shape_enforced(alpha, beta, message):
+    with pytest.raises(ValueError) as err:
+        Shift2D(alpha, beta)
+    assert str(err.value) == message
+
+
 def test_diagonal_grid_shares_one_hankel_grid():
     shift = Shift2D.diagonal(["1/2", 2, F(3, 4)])
     assert shift.alpha_grid is shift.beta_grid
@@ -99,6 +114,15 @@ def test_moments_beyond_window_fail():
     shift = classical_embed(bergman(), 4)
     with pytest.raises(WindowTooSmall):
         moments(shift, 10)
+
+
+@pytest.mark.parametrize("window", [-1, -2])
+def test_moments_reject_a_negative_window(window):
+    for shift in (sie_bergman(3), Shift2D([[1]], [[1]])):
+        with pytest.raises(ValueError) as err:
+            moments(shift, window)
+        assert str(err.value) == "window must be >= 0"
+    assert moments(Shift2D([[1]], [[1]]), 0).values == ((1,),)
 
 
 # -- generator rules -------------------------------------------------------------
