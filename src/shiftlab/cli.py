@@ -287,8 +287,8 @@ def khypo2(shift_file, k, window, power, restriction, as_csv):
 def sixpoint(shift_file, window, as_csv):
     """Exact six-point hyponormality test of the self-commutator matrices."""
     data = _load(shift_file)
-    (shift,) = sweep_targets(lambda size: shift2d_from_descriptor(data, window=size), 1, window)
-    verdict = six_point(shift, window)
+    (table,) = sweep_targets(lambda size: shift2d_from_descriptor(data, window=size), 1, window)
+    verdict = six_point(table, window)
     return {
         "inputs": {"shift": data},
         "params": {"window": window},
@@ -453,7 +453,7 @@ def curto_park(measure_file, m, as_csv):
 def recursion(moments_text, shift_file, count, max_order, as_csv):
     """Detect the minimal linear recursion of a moment sequence."""
     if moments_text is not None:
-        values = [as_rational(piece.strip()) for piece in moments_text.split(",")]
+        values = [_rational_option(piece.strip(), "moments") for piece in moments_text.split(",")]
         inputs = {"moments": list(values)}
     elif shift_file is not None:
         data = _load(shift_file)
@@ -545,7 +545,7 @@ def recover(shift_file, atoms_text, window, as_csv):
     """Recover the atomic measure of a constant-sum grid from its atoms."""
     data = _load(shift_file)
     shift = shift2d_from_descriptor(data, window=window)
-    atoms = [as_rational(piece.strip()) for piece in atoms_text.split(",")]
+    atoms = [_rational_option(piece.strip(), "atoms") for piece in atoms_text.split(",")]
     mu = recover_densities(shift, atoms)
     return {
         "inputs": {"shift": data, "atoms": list(atoms)},

@@ -581,7 +581,8 @@ def vandermonde_solve(nodes: Iterable, rhs: Iterable) -> list:
     if len(nodes) != len(rhs):
         raise ValueError("nodes and rhs must have equal length")
     if len(set(nodes)) != len(nodes):
-        raise DuplicateNode(f"duplicate interpolation node among {nodes}")
+        node = next(s for i, s in enumerate(nodes) if s in nodes[:i])
+        raise DuplicateNode(f"duplicate interpolation node {format_rational(node)}")
     n = len(nodes)
     rows = [[s**i for s in nodes] for i in range(n)]
     solution = solve_linear(rows, rhs)

@@ -334,11 +334,12 @@ def grid_reach(k: int, window: int, power=None, restriction=None) -> int:
     The sweep reads moments up to window + 2k, so the grid extends one step
     further. A restriction (m, n, p, q) reaches that far in its own steps,
     each m (or n) grid steps long; a power (m, n) reaches as far as its
-    farthest component, (m - 1, n - 1).
+    farthest component, (m - 1, n - 1), and is checked here, before a build.
     """
     need = window + 2 * k + 1
     if restriction is None and power is not None:
         m, n = power
+        _check_power(m, n)
         restriction = (m, n, m - 1, n - 1)
     if restriction is None:
         return need
@@ -350,6 +351,14 @@ def _base_points(window: int):
     for total in range(window + 1):
         for u1 in range(total + 1):
             yield (u1, total - u1)
+
+
+def _sweep_table(target: Union[Shift2D, Moment2Table], reach: int, sweep: str) -> Moment2Table:
+    """The moments through ``reach`` a ``sweep`` reads: a shift's, or a table's."""
+    table = target if isinstance(target, Moment2Table) else moments(target, reach)
+    if table.window < reach:
+        raise WindowTooSmall(f"moment window {table.window} is below the {reach} {sweep} reads")
+    return table
 
 
 def k_hyponormal_2v(
@@ -366,13 +375,7 @@ def k_hyponormal_2v(
         raise ValueError("k must be >= 1")
     if window < 0:
         raise ValueError("window must be >= 0")
-    reach = window + 2 * k
-    table = target if isinstance(target, Moment2Table) else moments(target, reach)
-    if table.window < reach:
-        raise WindowTooSmall(
-            f"moment window {table.window} is below the {reach} a k={k} sweep "
-            f"over window {window} reads"
-        )
+    table = _sweep_table(target, window + 2 * k, f"a k={k} sweep over window {window}")
     for u in _base_points(window):
         verdict = psd_test(moment_matrix(table, u, k))
         if not verdict.is_psd:
@@ -387,33 +390,34 @@ class SixPointVerdict:
     first_failure: Optional[tuple]
 
 
-def six_point(shift: Shift2D, window: int = DEFAULT_WINDOW_2D) -> SixPointVerdict:
+def six_point(
+    target: Union[Shift2D, Moment2Table], window: int = DEFAULT_WINDOW_2D
+) -> SixPointVerdict:
     """Hyponormality via the 2x2 self-commutator matrix at each point.
 
-    At k the matrix has diagonal a11, a22 (the weight increments) and
-    off-diagonal sqrt(X) - sqrt(Y) with X = alpha_sq(k+e2) beta_sq(k+e1) and
-    Y = alpha_sq(k) beta_sq(k). Its determinant a11 a22 - (sqrt(X) - sqrt(Y))^2
-    is nonnegative iff R = X + Y - a11 a22 satisfies R <= 0 or 4XY >= R^2,
-    which decides the test exactly in rationals.
-
-    The matrix at u is D S D, where S is the Schur complement of gamma(u) in
-    the k = 1 moment matrix at u and D = diag(gamma(u+e1), gamma(u+e2))^(-1/2);
-    so this test and ``k_hyponormal_2v(shift, 1, window)`` agree on the
-    verdict and on the first failing base point.
+    ``target`` is a shift or its moment table, read through window + 2 as
+    ``k_hyponormal_2v`` reads it. The matrix at u is D S D, with S the Schur
+    complement of g = gamma(u) in the k = 1 moment matrix at u and
+    D = diag(gamma(u+e1), gamma(u+e2))^(-1/2), so it is PSD iff g S is:
+    with g1 = gamma(u+e1), g2 = gamma(u+e2), s = gamma(u+2e1) g - g1^2,
+    t = gamma(u+2e2) g - g2^2 and c = gamma(u+e1+e2) g - g1 g2, iff s, t >= 0
+    and c^2 <= s t. It agrees with ``k_hyponormal_2v`` at k = 1 on the verdict
+    and the first failing base point, and runs in integers: one common
+    denominator of the moments keeps every sign.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    for point in _base_points(window):
-        k1, k2 = point
-        a11 = shift.alpha_sq(k1 + 1, k2) - shift.alpha_sq(k1, k2)
-        a22 = shift.beta_sq(k1, k2 + 1) - shift.beta_sq(k1, k2)
-        if a11 < 0 or a22 < 0:
-            return SixPointVerdict(False, window, point)
-        x = shift.alpha_sq(k1, k2 + 1) * shift.beta_sq(k1 + 1, k2)
-        y = shift.alpha_sq(k1, k2) * shift.beta_sq(k1, k2)
-        r = x + y - a11 * a22
-        if r > 0 and 4 * x * y < r * r:
-            return SixPointVerdict(False, window, point)
+    size = window + 3
+    table = _sweep_table(target, size - 1, f"a six-point sweep over window {window}")
+    flat, _ = integer_scaled([v for row in table.values[:size] for v in row[:size]])
+    at = [flat[i:i + size] for i in range(0, len(flat), size)]
+    for u1, u2 in _base_points(window):
+        g, g1, g2 = at[u1][u2], at[u1 + 1][u2], at[u1][u2 + 1]
+        s = at[u1 + 2][u2] * g - g1 * g1
+        t = at[u1][u2 + 2] * g - g2 * g2
+        c = at[u1 + 1][u2 + 1] * g - g1 * g2
+        if s < 0 or t < 0 or c * c > s * t:
+            return SixPointVerdict(False, window, (u1, u2))
     return SixPointVerdict(True, window, None)
 
 
@@ -494,26 +498,25 @@ def _check_power(m: int, n: int):
 
 
 def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> list:
-    """The shifts, or moment tables, a k-hyponormality sweep over
-    u1 + u2 <= window tests.
+    """The moment tables a k-hyponormality sweep over u1 + u2 <= window tests.
 
     ``build(n)`` returns the shift on an n x n grid, or its moment table
-    through window n - 1; it is called once, at the sweep's ``grid_reach``.
-    The targets are the restriction (m, n, p, q), every component of the
-    power (m, n) in row-major (p, q) order, or the whole source. A table's
-    targets are its ``sublattice`` views, so no grid is built.
+    through window n - 1; it is called once, at the sweep's ``grid_reach``,
+    and a shift's moments are taken once, over its whole grid. The targets
+    are ``sublattice`` views of the table: the restriction (m, n, p, q),
+    every component of the power (m, n) in row-major (p, q) order, or all of it.
     """
-    source = build(grid_reach(k, window, power, restriction))
+    table = build(grid_reach(k, window, power, restriction))
     if power is not None and restriction is not None:
         raise ValueError("choose either a power or a restriction, not both")
-    select = restrict if isinstance(source, Shift2D) else _restrict_table
+    if isinstance(table, Shift2D):
+        table = moments(table, table.window - 1)
     if restriction is not None:
-        return [select(source, *restriction)]
+        return [_restrict_table(table, *restriction)]
     if power is not None:
         m, n = power
-        _check_power(m, n)
-        return [select(source, m, n, p, q) for p in range(m) for q in range(n)]
-    return [source]
+        return [_restrict_table(table, m, n, p, q) for p in range(m) for q in range(n)]
+    return [table]
 
 
 def row(shift: Shift2D, j: int) -> Shift1D:

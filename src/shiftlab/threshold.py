@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .descriptors import _rational, shift1d_from_descriptor
-from .embed import classical_embed, classical_moments
+from .embed import classical_moments
 from .errors import DescriptorError, NotMonotone
 from .exactcore import format_rational
 from .shift1d import DEFAULT_WINDOW_1D, k_hyponormal
@@ -101,14 +101,12 @@ def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
         window = query.window if query.window is not None else DEFAULT_WINDOW_1D
         return k_hyponormal(shift, query.k, window).holds
     window = query.window if query.window is not None else DEFAULT_WINDOW_2D
+    # strided views of one prefix-product table; six-point reads a k = 1 sweep's
+    k = query.k if query.op == "khypo2" else 1
+    build = functools.partial(classical_moments, shift)
+    targets = sweep_targets(build, k, window, query.power, query.restriction)
     if query.op == "khypo2":
-        # the sweep reads moments only: strided views of one prefix-product table
-        build = functools.partial(classical_moments, shift)
-        targets = sweep_targets(build, query.k, window, query.power, query.restriction)
-        return all(k_hyponormal_2v(t, query.k, window).holds for t in targets)
-    # the six-point test reads the weights of the grid a k = 1 sweep reads
-    build = functools.partial(classical_embed, shift)
-    targets = sweep_targets(build, 1, window, query.power, query.restriction)
+        return all(k_hyponormal_2v(t, k, window).holds for t in targets)
     return all(six_point(t, window).holds for t in targets)
 
 

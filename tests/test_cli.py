@@ -11,6 +11,8 @@ from click.testing import CliRunner
 import shiftlab
 from shiftlab.cli import main
 from shiftlab.descriptors import shift2d_to_descriptor
+from shiftlab.embed import classical_embed
+from shiftlab.families import bergman_rank_one
 from shiftlab.shift2d import restrict, sie_bergman
 
 
@@ -800,3 +802,123 @@ def test_embed_flag_file_errors_name_their_field(runner, tmp_path, flags, messag
     result = runner.invoke(main, ["embed", *args, "--window", "2"])
     assert result.exit_code == 1
     assert result.stderr == f"error: {message}\n"
+
+
+POWER_SHIFTS = {
+    "sie": {"kind": "sie_bergman"},
+    "helton_howe": {"kind": "helton_howe"},
+    "classical": {"kind": "classical", "base": {"kind": "bergman"}},
+    "generator": {"kind": "generator", "alpha_num": [["1"], ["1"]],
+                  "alpha_den": [["4", "1"], ["1"]], "beta_num": [["2", "1"]],
+                  "beta_den": [["4", "1"], ["1"]]},
+}
+
+
+@pytest.mark.parametrize("shift", sorted(POWER_SHIFTS))
+@pytest.mark.parametrize(
+    "args", [["khypo2", "--power", "0,0"], ["power", "--m", "0", "--n", "0"]],
+    ids=["khypo2", "power"],
+)
+def test_nonpositive_power_names_itself(runner, tmp_path, shift, args):
+    # the power is checked where it sizes the grid, before any grid is built
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(POWER_SHIFTS[shift]))
+    result = runner.invoke(main, [args[0], "--shift", str(path), *args[1:]])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: power exponents must be >= 1, got (0,0)\n"
+
+
+@pytest.mark.parametrize("op", ["khypo2", "sixpoint"])
+def test_threshold_nonpositive_power_names_itself(runner, files, op):
+    args = ["threshold", "--family", files["family"], "--op", op, "--precision", "100"]
+    result = runner.invoke(main, [*args, "--power", "0,0"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: power exponents must be >= 1, got (0,0)\n"
+    both = runner.invoke(main, [*args, "--power", "0,0", "--restriction", "2,3,0,0"])
+    assert both.exit_code == 1
+    assert both.stderr == "error: choose either a power or a restriction, not both\n"
+
+
+def test_nonpositive_power_with_a_restriction_asks_to_choose(runner, files):
+    result = runner.invoke(
+        main,
+        ["khypo2", "--shift", files["sie"], "--power", "0,0", "--restriction", "2,3,0,0"],
+    )
+    assert result.exit_code == 1
+    assert result.stderr == "error: choose either a power or a restriction, not both\n"
+
+
+def _spherical_grid(runner, files, tmp_path):
+    """A constant-sum grid file that ``recover`` accepts."""
+    built = runner.invoke(
+        main,
+        ["embed", "--kind", "spherical", "--c", "1", "--base", files["three_atoms"],
+         "--window", "6"],
+    )
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_payload(built)["result"]["shift"]))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["recover", "--shift", "grid", "--atoms", "x"],
+         "$: --atoms must be a rational like 49/90, got 'x'"),
+        (["recover", "--shift", "grid", "--atoms", ""],
+         "$: --atoms must be a rational like 49/90, got ''"),
+        (["recover", "--shift", "grid", "--atoms", "1/2,1/2"],
+         "duplicate interpolation node 1/2"),
+        (["recursion", "--moments", "1,x"],
+         "$: --moments must be a rational like 49/90, got 'x'"),
+    ],
+    ids=["atoms-x", "atoms-empty", "atoms-duplicate", "moments-x"],
+)
+def test_rational_list_flags_name_themselves(runner, files, tmp_path, args, message):
+    grid = _spherical_grid(runner, files, tmp_path)
+    result = runner.invoke(main, [grid if arg == "grid" else arg for arg in args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def _explicit_grid(tmp_path, size):
+    """The rank-one x = 3/5 classical embedding as an explicit size x size grid."""
+    path = tmp_path / f"grid{size}.json"
+    grid = classical_embed(bergman_rank_one(F(3, 5)), size)
+    path.write_text(json.dumps(shift2d_to_descriptor(grid)))
+    return str(path)
+
+
+def test_explicit_grid_too_small_for_the_sweep_names_the_moment_window(runner, tmp_path):
+    result = runner.invoke(
+        main, ["khypo2", "--shift", _explicit_grid(tmp_path, 3), "--window", "1"]
+    )
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: moment window 2 is below the 3 a k=1 sweep over window 1 reads\n"
+    )
+
+
+def test_explicit_grid_restriction_reads_the_grids_whole_table(runner, tmp_path):
+    # a (1,2) restriction of a 6 x 6 grid is 2 x 2 and cannot fill the k = 1
+    # moments at the origin, but the view of the 6 x 6 grid's table reaches
+    # them; the verdict is the one a larger grid gives
+    args = ["khypo2", "--window", "0", "--restriction", "1,2,0,1"]
+    small = runner.invoke(main, [*args, "--shift", _explicit_grid(tmp_path, 6)])
+    large = runner.invoke(main, [*args, "--shift", _explicit_grid(tmp_path, 20)])
+    assert small.exit_code == large.exit_code == 0
+    assert _payload(small)["result"] == _payload(large)["result"]
+
+
+def test_sixpoint_needs_window_plus_three_grid_cells(runner, tmp_path):
+    # the six-point test reads moments through window + 2, as a k = 1 sweep does
+    grid = _explicit_grid(tmp_path, 5)
+    fits = runner.invoke(main, ["sixpoint", "--shift", grid, "--window", "2"])
+    assert fits.exit_code == 0
+    short = runner.invoke(main, ["sixpoint", "--shift", grid, "--window", "3"])
+    assert short.exit_code == 1
+    assert short.stderr == (
+        "error: moment window 4 is below the 5 a six-point sweep over window 3 reads\n"
+    )

@@ -184,6 +184,11 @@ def test_vandermonde_duplicate_node():
         vandermonde_solve((F(1, 2), F(1, 2)), (1, 1))
 
 
+def test_vandermonde_duplicate_node_is_named():
+    with pytest.raises(DuplicateNode, match=r"^duplicate interpolation node -2/3$"):
+        vandermonde_solve((F(1, 3), F(-2, 3), 1, F(-2, 3)), (1, 1, 1, 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

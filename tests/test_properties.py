@@ -119,9 +119,42 @@ POWER_BASES = {
 }
 
 
-def _same_six_point_and_k1_verdicts(shift, window):
-    six, exact = six_point(shift, window), k_hyponormal_2v(shift, 1, window)
-    assert (six.holds, six.first_failure) == (exact.holds, exact.first_failure)
+def _six_point_by_weights(shift, window):
+    """(holds, first_failure) of the six-point test read off the weights.
+
+    At u the self-commutator matrix has diagonal a11, a22 (the weight
+    increments) and off-diagonal sqrt(X) - sqrt(Y), with
+    X = alpha_sq(u+e2) beta_sq(u+e1) and Y = alpha_sq(u) beta_sq(u). Its
+    determinant a11 a22 - (sqrt(X) - sqrt(Y))^2 is nonnegative iff
+    R = X + Y - a11 a22 satisfies R <= 0 or 4XY >= R^2.
+    """
+    a, b = shift.alpha_sq, shift.beta_sq
+    for total in range(window + 1):
+        for k1 in range(total + 1):
+            k2 = total - k1
+            a11 = a(k1 + 1, k2) - a(k1, k2)
+            a22 = b(k1, k2 + 1) - b(k1, k2)
+            if a11 < 0 or a22 < 0:
+                return False, (k1, k2)
+            x = a(k1, k2 + 1) * b(k1 + 1, k2)
+            y = a(k1, k2) * b(k1, k2)
+            r = x + y - a11 * a22
+            if r > 0 and 4 * x * y < r * r:
+                return False, (k1, k2)
+    return True, None
+
+
+def _same_six_point_and_k1_verdicts(shift, window, view=None):
+    """The six-point test on the weights, on the shift, on its moment table
+    (and on ``view``, a table of the same moments) and the k = 1 test by
+    LDL^T agree on the verdict and on the first failing base point."""
+    expected = _six_point_by_weights(shift, window)
+    tables = [moments(shift, window + 2)] + ([] if view is None else [view])
+    for target in [shift, *tables]:
+        six = six_point(target, window)
+        assert (six.holds, six.first_failure) == expected
+    exact = k_hyponormal_2v(shift, 1, window)
+    assert (exact.holds, exact.first_failure) == expected
 
 
 @pytest.mark.parametrize(
@@ -148,10 +181,14 @@ def test_six_point_agrees_with_exact_k1_on_more_shifts(name):
 
 @pytest.mark.parametrize("name", sorted(POWER_BASES))
 def test_six_point_agrees_with_exact_k1_on_power_components(name):
-    parts = power_components(classical_embed(POWER_BASES[name], 40), 2, 3)
+    # each component as a restricted grid and as a sublattice view of the
+    # embedding's moment table
+    embedding = classical_embed(POWER_BASES[name], 40)
+    table = moments(embedding, 39)
+    parts = power_components(embedding, 2, 3)
     assert len(parts) == 6
-    for part in parts:
-        _same_six_point_and_k1_verdicts(part, 8)
+    for (p, q), part in zip([(p, q) for p in range(2) for q in range(3)], parts):
+        _same_six_point_and_k1_verdicts(part, 8, view=table.sublattice(2, 3, p, q))
 
 
 def test_six_point_cross_check_meets_failures_past_the_origin():

@@ -352,14 +352,17 @@ def test_sweep_targets_builds_once_at_grid_reach(select):
 
 
 def test_sweep_targets_selects_whole_restriction_and_row_major_power():
+    # a prebuilt grid, as an explicit one is: its moments are read once, over
+    # the whole grid, and every target is a view of them
     shift = classical_embed(bergman_rank_one(F(3, 5)), grid_reach(1, 2, power=(2, 3)))
     (whole,) = sweep_targets(lambda size: shift, 1, 2)
-    assert whole is shift
+    assert whole == _grid_moments(shift)
     (part,) = sweep_targets(lambda size: shift, 1, 2, restriction=(2, 3, 1, 2))
-    assert _cells(part) == _cells(restrict(shift, 2, 3, 1, 2))
+    assert _agrees_on(part, _grid_moments(restrict(shift, 2, 3, 1, 2)))
     parts = sweep_targets(lambda size: shift, 1, 2, power=(2, 3))
     expected = [restrict(shift, 2, 3, p, q) for p in range(2) for q in range(3)]
-    assert [_cells(t) for t in parts] == [_cells(t) for t in expected]
+    assert len(parts) == len(expected) == 6
+    assert all(_agrees_on(t, _grid_moments(g)) for t, g in zip(parts, expected))
 
 
 def test_sweep_targets_rejects_power_and_restriction_after_the_build():
@@ -585,10 +588,18 @@ def test_sublattice_rejects_bad_steps_and_offsets_past_the_window():
 )
 def test_sweep_targets_views_a_table_as_the_grid_route_restricts(select):
     base = bergman_rank_one(F(3, 5))
-    grids = sweep_targets(partial(classical_embed, base), 2, 3, **select)
-    tables = sweep_targets(partial(classical_moments, base), 2, 3, **select)
-    assert len(tables) == len(grids)
-    assert all(_agrees_on(t, _grid_moments(g)) for t, g in zip(tables, grids))
+    grid = classical_embed(base, grid_reach(2, 3, **select))
+    if "restriction" in select:
+        grids = [restrict(grid, *select["restriction"])]
+    elif "power" in select:
+        grids = power_components(grid, *select["power"])
+    else:
+        grids = [grid]
+    # a grid builder and a table builder both get views of one table
+    for build in (partial(classical_embed, base), partial(classical_moments, base)):
+        tables = sweep_targets(build, 2, 3, **select)
+        assert len(tables) == len(grids)
+        assert all(_agrees_on(t, _grid_moments(g)) for t, g in zip(tables, grids))
 
 
 @pytest.mark.parametrize(
