@@ -9,24 +9,30 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DuplicateNode, SingularSystem
 
+_RATIONAL_TEXT = re.compile(r"\s*[-+]?[0-9]+(?:/[0-9]+)?\s*")
+
 
 def as_rational(value) -> Fraction:
     """Coerce an int, ``"p/q"`` string, or Fraction to an exact Fraction.
 
     Floats are rejected: they would silently smuggle rounding error into a
-    pipeline whose whole point is exactness.
+    pipeline whose whole point is exactness. A string is an optional sign,
+    digits and an optional ``/digits``, so ``"0.5"`` and ``"1e-1"`` are too.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL_TEXT.fullmatch(value):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r} (floats are not accepted)")
 

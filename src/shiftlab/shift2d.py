@@ -371,16 +371,42 @@ def k_hyponormal_2v(
     the order-(k+1)(k+2)/2 moment matrix at each base point and certifies
     positivity exactly. The verdict is window-scoped.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    table = _sweep_table(target, window + 2 * k, f"a k={k} sweep over window {window}")
+    table = _khypo_table(target, k, window)
     for u in _base_points(window):
         verdict = psd_test(moment_matrix(table, u, k))
         if not verdict.is_psd:
             return Hyponormality2VVerdict(False, k, window, u, verdict)
     return Hyponormality2VVerdict(True, k, window, None, None)
+
+
+def _khypo_table(target: Union[Shift2D, Moment2Table], k: int, window: int) -> Moment2Table:
+    """The moments a k-sweep over ``window`` reads, after its argument checks."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    return _sweep_table(target, window + 2 * k, f"a k={k} sweep over window {window}")
+
+
+def k_hyponormal_diagonal(build, k: int, window: int, power=None, restriction=None) -> bool:
+    """Whether ``k_hyponormal_2v`` holds on every ``sweep_targets`` view of a
+    diagonal table, gamma(a, b) = gamma1(a + b), as ``classical_moments`` is.
+
+    The matrix at u of the view (m, n, p, q) is a positive multiple of one that
+    depends on u only through c = p + q + m*u1 + n*u2. Views and base points go
+    in ``k_hyponormal_2v``'s order, with its errors, testing each c's first base point.
+    """
+    passed = set()
+    views = sweep_targets(build, k, window, power, restriction)
+    for (m, n, p, q), view in zip(_selectors(power, restriction), views):
+        table = _khypo_table(view, k, window)
+        for u1, u2 in _base_points(window):
+            c = p + q + m * u1 + n * u2
+            if c not in passed:
+                if not psd_test(moment_matrix(table, (u1, u2), k)).is_psd:
+                    return False
+                passed.add(c)
+    return True
 
 
 @dataclass(frozen=True)
@@ -497,6 +523,14 @@ def _check_power(m: int, n: int):
         raise ValueError(f"power exponents must be >= 1, got ({m},{n})")
 
 
+def _selectors(power=None, restriction=None) -> list:
+    """Each view's (m, n, p, q), in ``sweep_targets``' order; all is the (1, 1) power."""
+    if restriction is not None:
+        return [restriction]
+    m, n = power or (1, 1)
+    return [(m, n, p, q) for p in range(m) for q in range(n)]
+
+
 def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> list:
     """The moment tables a k-hyponormality sweep over u1 + u2 <= window tests.
 
@@ -511,12 +545,7 @@ def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> l
         raise ValueError("choose either a power or a restriction, not both")
     if isinstance(table, Shift2D):
         table = moments(table, table.window - 1)
-    if restriction is not None:
-        return [_restrict_table(table, *restriction)]
-    if power is not None:
-        m, n = power
-        return [_restrict_table(table, m, n, p, q) for p in range(m) for q in range(n)]
-    return [table]
+    return [_restrict_table(table, *s) for s in _selectors(power, restriction)]
 
 
 def row(shift: Shift2D, j: int) -> Shift1D:

@@ -19,7 +19,7 @@ from .embed import classical_moments
 from .errors import DescriptorError, NotMonotone
 from .exactcore import format_rational
 from .shift1d import DEFAULT_WINDOW_1D, k_hyponormal
-from .shift2d import DEFAULT_WINDOW_2D, k_hyponormal_2v, six_point, sweep_targets
+from .shift2d import DEFAULT_WINDOW_2D, k_hyponormal_diagonal, six_point, sweep_targets
 
 PREDICATE_OPS = ("khypo1", "khypo2", "sixpoint")
 CANDIDATE_MARGIN = Fraction(1, 1000)
@@ -102,11 +102,10 @@ def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
         return k_hyponormal(shift, query.k, window).holds
     window = query.window if query.window is not None else DEFAULT_WINDOW_2D
     # strided views of one prefix-product table; six-point reads a k = 1 sweep's
-    k = query.k if query.op == "khypo2" else 1
     build = functools.partial(classical_moments, shift)
-    targets = sweep_targets(build, k, window, query.power, query.restriction)
     if query.op == "khypo2":
-        return all(k_hyponormal_2v(t, k, window).holds for t in targets)
+        return k_hyponormal_diagonal(build, query.k, window, query.power, query.restriction)
+    targets = sweep_targets(build, 1, window, query.power, query.restriction)
     return all(six_point(t, window).holds for t in targets)
 
 

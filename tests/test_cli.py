@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -922,3 +923,36 @@ def test_sixpoint_needs_window_plus_three_grid_cells(runner, tmp_path):
     assert short.stderr == (
         "error: moment window 4 is below the 5 a six-point sweep over window 3 reads\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["pushforward", "--measure", "three_atoms", "--p", "0.5", "--q", "1"],
+         "$: --p must be a rational like 49/90, got '0.5'"),
+        (["pushforward", "--measure", "three_atoms", "--p", "1e-1", "--q", "1"],
+         "$: --p must be a rational like 49/90, got '1e-1'"),
+        (["pushforward", "--measure", "three_atoms", "--p", "0,1", "--q", "1_000"],
+         "$: --q must be a rational like 49/90, got '1_000'"),
+        (["recover", "--shift", "grid", "--atoms", "1/3,0.5,1"],
+         "$: --atoms must be a rational like 49/90, got '0.5'"),
+        (["threshold", "--family", "family", "--op", "khypo1", "--k", "2",
+          "--precision", "1000", "--candidate", "0.5625"],
+         "$: --candidate must be a rational like 49/90, got '0.5625'"),
+        (["threshold", "--family", "decimal_family", "--op", "khypo1", "--k", "2",
+          "--precision", "1000"],
+         "$.hi: expected a rational, got '0.75' (Invalid literal for Fraction: '0.75')"),
+    ],
+    ids=["p-decimal", "p-exponent", "q-underscore", "atoms-decimal", "candidate-decimal",
+         "family-decimal"],
+)
+def test_decimal_looking_rationals_are_an_error(runner, files, tmp_path, args, message):
+    # each of these exact values was once read from its decimal spelling
+    named = dict(files, grid=_spherical_grid(runner, files, tmp_path))
+    family = tmp_path / "decimal_family.json"
+    family.write_text(json.dumps(dict(json.loads(Path(files["family"]).read_text()), hi="0.75")))
+    named["decimal_family"] = str(family)
+    result = runner.invoke(main, [named.get(arg, arg) for arg in args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"

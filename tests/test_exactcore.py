@@ -35,6 +35,14 @@ def test_as_rational_forms():
     assert as_rational(F(1, 3)) == F(1, 3)
     with pytest.raises(TypeError):
         as_rational(0.5)
+    assert as_rational(" -3/4\n") == F(-3, 4)
+    assert as_rational("+7") == F(7)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-1", "1_000", ".5", "1/2.0", "", "x"])
+def test_as_rational_rejects_decimals_exponents_and_underscores(text):
+    with pytest.raises(ValueError, match=f"Invalid literal for Fraction: {text!r}"):
+        as_rational(text)
 
 
 def test_format_rational():

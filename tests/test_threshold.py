@@ -1,12 +1,20 @@
+import functools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from shiftlab import shift2d, threshold
 from shiftlab.descriptors import shift1d_from_descriptor
-from shiftlab.embed import classical_embed
+from shiftlab.embed import classical_embed, classical_moments
 from shiftlab.errors import NotMonotone
-from shiftlab.shift2d import DEFAULT_WINDOW_2D, grid_reach, k_hyponormal_2v, restrict
+from shiftlab.shift2d import (
+    DEFAULT_WINDOW_2D,
+    grid_reach,
+    k_hyponormal_2v,
+    restrict,
+    sweep_targets,
+)
 from shiftlab.threshold import (
     ThresholdQuery,
     bisect_threshold,
@@ -19,6 +27,13 @@ RANK_ONE_TEMPLATE = {
     "prefix_sq": ["x"],
     "tail": {"kind": "rational_fn", "num": [1, 1], "den": [2, 1], "start": 1},
     "norm_bound_sq": "2",
+}
+
+# flat_head_bergman(x): squared weights 1/2, 1/2, 1/2, x, then 2/3, 3/4, ...
+FLAT_HEAD_TEMPLATE = {
+    "prefix_sq": ["1/2", "1/2", "1/2", "x"],
+    "tail": {"kind": "rational_fn", "num": [-2, 1], "den": [-1, 1], "start": 4},
+    "norm_bound_sq": "1",
 }
 
 FAMILY = {
@@ -138,17 +153,57 @@ def test_sixpoint_grid_is_sized_for_k1(monkeypatch):
     assert ks == [1]
 
 
-@pytest.mark.parametrize("x", [F(49, 90), F(49, 90) + F(1, 100)], ids=["passing", "failing"])
-def test_khypo2_restriction_predicate_reads_one_moment_table(monkeypatch, x):
-    restriction = (2, 3, 0, 0)
-    window = DEFAULT_WINDOW_2D
-    # the grid route fixes the verdict and the base points tested up to it
-    shift = shift1d_from_descriptor(substitute_parameter(RANK_ONE_TEMPLATE, "x", x))
-    grid = classical_embed(shift, grid_reach(2, window, restriction=restriction))
-    oracle = k_hyponormal_2v(restrict(grid, *restriction), 2, window)
+def _selectors(power=None, restriction=None):
+    if restriction is not None:
+        return [restriction]
+    if power is not None:
+        m, n = power
+        return [(m, n, p, q) for p in range(m) for q in range(n)]
+    return [(1, 1, 0, 0)]
+
+
+# (template, k, window, selection, x, matrices tested when the predicate holds)
+RESTRICT_23 = {"restriction": (2, 3, 0, 0)}
+ONE_MATRIX_PER_OFFSET = {
+    "passing": (RANK_ONE_TEMPLATE, 2, DEFAULT_WINDOW_2D, RESTRICT_23, F(49, 90), 45),
+    "failing": (RANK_ONE_TEMPLATE, 2, DEFAULT_WINDOW_2D, RESTRICT_23, F(49, 90) + F(1, 100), None),
+    "whole-passing": (RANK_ONE_TEMPLATE, 2, DEFAULT_WINDOW_2D, {}, F(9, 16) - F(1, 100), 16),
+    "whole-failing": (RANK_ONE_TEMPLATE, 2, DEFAULT_WINDOW_2D, {}, F(9, 16) + F(1, 100), None),
+    "power-passing": (RANK_ONE_TEMPLATE, 2, 6, {"power": (2, 2)}, F(69, 100), 15),
+    "power-failing": (RANK_ONE_TEMPLATE, 2, 6, {"power": (2, 2)}, F(71, 100), None),
+    # fails at (0, 2), after skipping (1, 0), which shares (0, 1)'s offset
+    "flat-head-failing": (FLAT_HEAD_TEMPLATE, 2, DEFAULT_WINDOW_2D, {}, F(1, 2), None),
+}
+
+
+@pytest.mark.parametrize(
+    "template, k, window, select, x, tested",
+    list(ONE_MATRIX_PER_OFFSET.values()),
+    ids=list(ONE_MATRIX_PER_OFFSET),
+)
+def test_khypo2_restriction_predicate_reads_one_moment_table(
+    monkeypatch, template, k, window, select, x, tested
+):
+    # the grid route fixes the verdict and the first failing base point; on a
+    # classical table the matrix at u in the view (m, n, p, q) depends on u
+    # only through c = p + q + m*u1 + n*u2, so one base point per new c is
+    # tested, up to and including that failure
+    shift = shift1d_from_descriptor(substitute_parameter(template, "x", x))
+    grid = classical_embed(shift, grid_reach(k, window, **select))
     bases = [(u1, total - u1) for total in range(window + 1) for u1 in range(total + 1)]
-    if not oracle.holds:
-        bases = bases[:bases.index(oracle.first_failure) + 1]
+    expected, offsets, holds = [], set(), True
+    for m, n, p, q in _selectors(**select):
+        oracle = k_hyponormal_2v(restrict(grid, m, n, p, q), k, window)
+        for u in bases:
+            c = p + q + m * u[0] + n * u[1]
+            if c not in offsets:
+                offsets.add(c)
+                expected.append(u)
+            if u == oracle.first_failure:
+                break
+        if not oracle.holds:
+            holds = False
+            break
 
     calls = []
     real_matrix, real_psd = shift2d.moment_matrix, shift2d.psd_test
@@ -168,6 +223,80 @@ def test_khypo2_restriction_predicate_reads_one_moment_table(monkeypatch, x):
     monkeypatch.setattr(shift2d, "psd_test", psd_spy)
     monkeypatch.setattr(shift2d, "moments", forbidden)
     monkeypatch.setattr(shift2d.Shift2D, "__init__", forbidden)
-    query = query_from_descriptor(FAMILY, op="khypo2", k=2, restriction=restriction)
-    assert evaluate_predicate(query, x) is oracle.holds
-    assert calls == [call for u in bases for call in (("moment_matrix", u), ("psd_test", 6))]
+    family = dict(FAMILY, shift=template)
+    query = query_from_descriptor(family, op="khypo2", k=k, window=window, **select)
+    assert evaluate_predicate(query, x) is holds
+    order = (k + 1) * (k + 2) // 2
+    assert calls == [call for u in expected for call in (("moment_matrix", u), ("psd_test", order))]
+    assert holds is (tested is not None)
+    if holds:
+        assert len(expected) == tested
+
+
+SELECTIONS = [
+    {},
+    {"restriction": (2, 3, 0, 0)},
+    {"restriction": (2, 3, 1, 2)},
+    {"restriction": (3, 2, 2, 1)},
+    {"power": (2, 3)},
+    {"power": (2, 2)},
+    {"power": (3, 1)},
+]
+# each boundary with the selection and k it bounds, at window 9
+BOUNDARIES = [(F(2, 3), {}, 1), (F(9, 16), {}, 2), (F(8, 15), {}, 3), (F(49, 90), SELECTIONS[1], 2)]
+STEPS = [F(0), F(1, 100), -F(1, 100), F(1, 10**9), -F(1, 10**9)]
+XS = [b + d for b, _, _ in BOUNDARIES for d in STEPS]
+XS += [F(random.Random(13).randint(500, 800), 1000) for _ in range(6)]
+REFERENCE_CASES = (
+    [(RANK_ONE_TEMPLATE, b + d, select, k, 9) for b, select, k in BOUNDARIES for d in STEPS]
+    # every family, selection, k and window, with the x values in turn
+    + [
+        (template, XS[i % len(XS)], select, k, window)
+        for i, (template, select, k, window) in enumerate(
+            (template, select, k, window)
+            for template in (RANK_ONE_TEMPLATE, FLAT_HEAD_TEMPLATE)
+            for select in SELECTIONS
+            for k in (1, 2, 3)
+            for window in (0, 1, 4, 9)
+        )
+    ]
+    # cases the reference rejects
+    + [
+        (RANK_ONE_TEMPLATE, F(3, 5), select, k, window)
+        for window, select in (
+            (-1, {}),
+            (-3, {"restriction": (2, 3, 1, 2)}),
+            (2, {"restriction": (2, 3, 2, 0)}),
+            (2, {"power": (0, 2)}),
+            (-1, {"power": (2, 2)}),
+        )
+        for k in (1, 2, 3)
+    ]
+)
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except Exception as exc:  # the reference's error must be the predicate's
+        return (type(exc), str(exc))
+
+
+def test_khypo2_predicate_matches_the_full_sweep_of_every_view():
+    outcomes = []
+    for template, x, select, k, window in REFERENCE_CASES:
+        shift = shift1d_from_descriptor(substitute_parameter(template, "x", x))
+        build = functools.partial(classical_moments, shift)
+        reference = _outcome(
+            lambda: all(
+                k_hyponormal_2v(t, k, window).holds
+                for t in sweep_targets(build, k, window, **select)
+            )
+        )
+        query = ThresholdQuery(template, "x", F(0), F(1), "khypo2", k=k, window=window, **select)
+        assert _outcome(lambda: evaluate_predicate(query, x)) == reference, (x, select, k, window)
+        outcomes.append(reference)
+    # both sides of every boundary, and every kind of outcome
+    for i in range(len(BOUNDARIES)):
+        assert outcomes[5 * i:5 * i + 5] == [True, False, True, False, True]
+    assert {True, False} <= set(outcomes) and any(isinstance(o, tuple) for o in outcomes)
