@@ -246,7 +246,8 @@ SELECTIONS = [
 BOUNDARIES = [(F(2, 3), {}, 1), (F(9, 16), {}, 2), (F(8, 15), {}, 3), (F(49, 90), SELECTIONS[1], 2)]
 STEPS = [F(0), F(1, 100), -F(1, 100), F(1, 10**9), -F(1, 10**9)]
 XS = [b + d for b, _, _ in BOUNDARIES for d in STEPS]
-XS += [F(random.Random(13).randint(500, 800), 1000) for _ in range(6)]
+_RNG = random.Random(13)
+XS += [F(_RNG.randint(500, 800), 1000) for _ in range(6)]
 REFERENCE_CASES = (
     [(RANK_ONE_TEMPLATE, b + d, select, k, 9) for b, select, k in BOUNDARIES for d in STEPS]
     # every family, selection, k and window, with the x values in turn
