@@ -1,6 +1,7 @@
 """Exact rational substrate: polynomials, symmetric matrices, PSD certificates.
 
-Every scalar is a ``fractions.Fraction``; nothing in this module ever rounds.
+Every scalar is a ``fractions.Fraction``, or an integer over one positive
+denominator shared by a whole matrix; nothing in this module ever rounds.
 Rationals serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1),
 which is exactly what ``str(Fraction)`` produces.
 """
@@ -8,6 +9,7 @@ which is exactly what ``str(Fraction)`` produces.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -135,8 +137,9 @@ class RationalPolynomial:
 def integer_scaled(coefficients) -> tuple:
     """(integers, d): coefficients[i] == integers[i] / d, with d > 0 the lcm
     of their denominators (1 for no coefficients)."""
-    den = math.lcm(*(c.denominator for c in coefficients))
-    return [c.numerator * (den // c.denominator) for c in coefficients], den
+    pairs = [c.as_integer_ratio() for c in coefficients]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def homogeneous_horner(coefficients, num: int, den: int) -> int:
@@ -372,41 +375,14 @@ def poly_nonneg_on(p: RationalPolynomial, lo, hi) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Square symmetric matrix of exact rationals."""
+class DeferredField:
+    """A field whose value may be built on its first read, as a data descriptor.
 
-    entries: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(map(as_rational, row)) for row in self.entries)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square and nonempty")
-        # compare with the transpose in one pass; scan for the first
-        # asymmetric (i, j) only to name it
-        if rows != tuple(zip(*rows)):
-            i, j = next(
-                (i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]
-            )
-            raise ValueError(f"matrix not symmetric at ({i},{j})")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-
-class _DeferredCertificate:
-    """``PsdVerdict.certificate`` as a data descriptor.
-
-    The stored value is either the certificate tuple or a zero-argument
-    callable that builds it; the callable runs on the first read and its
-    tuple replaces it. ``dataclasses`` sees an ordinary field with no
-    default, so ``fields``, ``repr`` and ``==`` read the tuple.
+    The stored value is either the value or a zero-argument callable that
+    builds it; the callable runs on the first read and its result replaces it.
+    As a dataclass field with no default it is an ordinary field to
+    ``dataclasses``, so ``fields``, ``repr``, ``==`` and ``hash`` read the
+    value; on a class attribute outside the fields it is a cached value.
     """
 
     def __set_name__(self, owner, name):
@@ -425,6 +401,68 @@ class _DeferredCertificate:
         obj.__dict__[self.slot] = value
 
 
+def scale_rows(rows) -> tuple:
+    """(integer rows, d): rows[i][j] == integers[i][j] / d, with d > 0 the lcm
+    of every denominator."""
+    flat, den = integer_scaled([v for row in rows for v in row])
+    it = iter(flat)
+    return tuple(tuple(next(it) for _ in row) for row in rows), den
+
+
+def fraction_rows(rows, den: int) -> tuple:
+    """The rationals rows[i][j] / den of integer rows over one denominator."""
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
+def _check_square_symmetric(rows):
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square and nonempty")
+    # compare with the transpose in one pass; scan for the first
+    # asymmetric (i, j) only to name it
+    if rows != tuple(zip(*rows)):
+        i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
+        raise ValueError(f"matrix not symmetric at ({i},{j})")
+
+
+@dataclass(frozen=True)
+class SymMatrix:
+    """Square symmetric matrix of exact rationals.
+
+    ``scaled`` holds the same matrix as integer rows over one positive
+    denominator. ``SymMatrix(entries)`` derives it on first need;
+    ``from_integers`` starts from it and builds ``entries`` on first read.
+    """
+
+    entries: tuple = DeferredField()
+    scaled = DeferredField()
+
+    def __post_init__(self):
+        rows = tuple(tuple(map(as_rational, row)) for row in self.entries)
+        _check_square_symmetric(rows)
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "scaled", functools.partial(scale_rows, rows))
+
+    @classmethod
+    def from_integers(cls, rows, den: int) -> "SymMatrix":
+        """The matrix rows[i][j] / den, for integer rows and den > 0."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        rows = tuple(map(tuple, rows))
+        _check_square_symmetric(rows)
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "entries", functools.partial(fraction_rows, rows, den))
+        object.__setattr__(matrix, "scaled", (rows, den))
+        return matrix
+
+    @property
+    def order(self) -> int:
+        return len(self.scaled[0])
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.entries[i][j]
+
+
 @dataclass(frozen=True)
 class PsdVerdict:
     """Positive-semidefiniteness verdict with an exact certificate.
@@ -438,7 +476,7 @@ class PsdVerdict:
     """
 
     is_psd: bool
-    certificate: tuple = _DeferredCertificate()
+    certificate: tuple = DeferredField()
     first_failure: Optional[int]
 
 
@@ -474,12 +512,12 @@ def _ldl_is_psd(a) -> bool:
     return True
 
 
-def _certificate(a, lcm, is_psd) -> tuple:
-    """e_0..e_n of the integer matrix ``a`` / ``lcm`` by Faddeev-LeVerrier.
+def _certificate(a, num: int, den: int, is_psd) -> tuple:
+    """e_0..e_n of the integer matrix ``a`` times num/den, by Faddeev-LeVerrier.
 
     M_k = A M_{k-1} + c_{k-1} I and c_k = -trace(A M_k) / k over the
     integers; the trace is read off as sum a_ij (M_k)_ji without forming
-    A M_k. Scaling by L > 0 multiplies e_i by L^i, so the signs are those
+    A M_k. Scaling by s > 0 multiplies e_i by s^i, so the signs are those
     of A's, and they must agree with the LDL^T verdict ``is_psd``.
     """
     n = len(a)
@@ -493,7 +531,7 @@ def _certificate(a, lcm, is_psd) -> tuple:
         trace = sum(x * y for row, col in zip(a, cols) for x, y in zip(row, col))
         assert trace % k == 0, "Faddeev-LeVerrier trace must divide exactly"
         cs.append(-(trace // k))
-    certificate = tuple(Fraction((-1) ** i * cs[i], lcm**i) for i in range(n + 1))
+    certificate = tuple(Fraction((-1) ** i * cs[i] * num**i, den**i) for i in range(n + 1))
     agrees = is_psd == all(e >= 0 for e in certificate)
     assert agrees, "LDL^T and Faddeev-LeVerrier disagree"
     return certificate
@@ -502,16 +540,19 @@ def _certificate(a, lcm, is_psd) -> tuple:
 def psd_test(matrix: SymMatrix) -> PsdVerdict:
     """Decide PSD-ness exactly by fraction-free LDL^T.
 
-    The matrix is scaled to integers by the lcm L of its denominators and
-    decided by ``_ldl_is_psd``. A failing verdict carries its
-    Faddeev-LeVerrier certificate at once, and ``first_failure`` is read
-    off it; a PSD verdict builds the certificate on its first read.
+    The matrix's integer rows over its denominator (``SymMatrix.scaled``)
+    are divided by their gcd g and decided by ``_ldl_is_psd``. A failing
+    verdict carries its Faddeev-LeVerrier certificate at once, and
+    ``first_failure`` is read off it; a PSD verdict builds the certificate
+    on its first read.
     """
-    lcm = math.lcm(*(e.denominator for row in matrix.entries for e in row))
-    a = [[e.numerator * (lcm // e.denominator) for e in row] for row in matrix.entries]
-    if _ldl_is_psd([row[:] for row in a]):
-        return PsdVerdict(True, functools.partial(_certificate, a, lcm, True), None)
-    certificate = _certificate(a, lcm, False)
+    rows, den = matrix.scaled
+    g = math.gcd(*itertools.chain.from_iterable(rows))
+    if g > 1:
+        rows = [[v // g for v in row] for row in rows]
+    if _ldl_is_psd([list(row) for row in rows]):
+        return PsdVerdict(True, functools.partial(_certificate, rows, g, den, True), None)
+    certificate = _certificate(rows, g, den, False)
     first_failure = next(i for i, e in enumerate(certificate) if e < 0)
     return PsdVerdict(False, certificate, first_failure)
 

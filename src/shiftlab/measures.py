@@ -70,6 +70,8 @@ class AtomicMeasure1D:
             raise ValueError("densities must sum to exactly 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "densities", densities)
+        object.__setattr__(self, "_atoms_int", integer_scaled(atoms))
+        object.__setattr__(self, "_densities_int", integer_scaled(densities))
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure1D":
@@ -86,7 +88,14 @@ class AtomicMeasure1D:
         return self.atoms[-1]
 
     def moment(self, k: int) -> Fraction:
-        return sum(d * a**k for a, d in zip(self.atoms, self.densities))
+        """Sum of d a^k, from the atoms A/D_a and densities W/D_w scaled to
+        integers once: sum of W A^k over D_w D_a^k, one Fraction built."""
+        if k < 0:
+            raise ValueError(f"moment index must be >= 0, got {k}")
+        atoms, atom_den = self._atoms_int
+        weights, weight_den = self._densities_int
+        total = sum(w * a**k for a, w in zip(atoms, weights))
+        return Fraction(total, weight_den * atom_den**k)
 
 
 @dataclass(frozen=True)

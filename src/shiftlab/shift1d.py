@@ -191,14 +191,22 @@ class HyponormalityVerdict:
     certificate: Optional[PsdVerdict]
 
 
-def hankel_matrix(moments: Sequence, order: int, base: int = 0) -> SymMatrix:
-    """The (order+1)-square Hankel matrix (gamma_{base+i+j})."""
-    return SymMatrix(
-        tuple(
-            tuple(moments[base + i + j] for j in range(order + 1))
-            for i in range(order + 1)
-        )
+def hankel_matrix(
+    moments: Sequence, order: int, base: int = 0, den: Optional[int] = None
+) -> SymMatrix:
+    """The (order+1)-square Hankel matrix (gamma_{base+i+j}).
+
+    With ``den``, ``moments`` are integer numerators over that positive
+    denominator, and the matrix keeps them (``SymMatrix.from_integers``).
+    """
+    if base < 0:
+        raise ValueError(f"base must be >= 0, got {base}")
+    rows = tuple(
+        tuple(moments[base + i + j] for j in range(order + 1)) for i in range(order + 1)
     )
+    if den is None:
+        return SymMatrix(rows)
+    return SymMatrix.from_integers(rows, den)
 
 
 def k_hyponormal(
@@ -207,15 +215,17 @@ def k_hyponormal(
     """Test k-hyponormality on base points u = 0..window.
 
     The criterion is exact PSD-ness of the Hankel moment matrix
-    (gamma_{u+i+j}) of order k+1 at every base point u in the window.
+    (gamma_{u+i+j}) of order k+1 at every base point u in the window. The
+    moments are scaled to integers over one denominator once, and every
+    matrix slices them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if window < 0:
         raise ValueError("window must be >= 0")
-    moments = shift.moments(window + 2 * k + 1)
+    moments, den = integer_scaled(shift.moments(window + 2 * k + 1))
     for u in range(window + 1):
-        verdict = psd_test(hankel_matrix(moments, k, u))
+        verdict = psd_test(hankel_matrix(moments, k, u, den))
         if not verdict.is_psd:
             return HyponormalityVerdict(False, k, window, u, verdict)
     return HyponormalityVerdict(True, k, window, None, None)

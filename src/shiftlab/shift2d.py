@@ -8,20 +8,25 @@ more data fails loudly instead of extrapolating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .errors import CommutativityViolation, WindowTooSmall
 from .exactcore import (
+    DeferredField,
     PsdVerdict,
     RationalPolynomial,
     SymMatrix,
     as_rational,
+    fraction_rows,
     homogeneous_horner,
     integer_scaled,
     numerator_denominator,
     psd_test,
+    scale_rows,
 )
 from .shift1d import RationalWeightRule, Shift1D
 
@@ -224,10 +229,31 @@ def sie_bergman(window: int) -> Shift2D:
 
 @dataclass(frozen=True)
 class Moment2Table:
-    """Exact moments gamma_(k1,k2) for 0 <= k1, k2 <= window."""
+    """Exact moments gamma_(k1,k2) for 0 <= k1, k2 <= window.
+
+    ``scaled`` holds the same table as integer rows over one positive
+    denominator. ``Moment2Table(window, values)`` derives it on first need;
+    ``from_integers`` starts from it and builds ``values`` on first read.
+    """
 
     window: int
-    values: tuple
+    values: tuple = DeferredField()
+    scaled = DeferredField()
+
+    def __post_init__(self):
+        object.__setattr__(self, "scaled", partial(scale_rows, self.values))
+
+    @classmethod
+    def from_integers(cls, window: int, rows, den: int) -> "Moment2Table":
+        """The table rows[i][j] / den, for integer rows and den > 0."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        rows = tuple(map(tuple, rows))
+        table = cls.__new__(cls)
+        object.__setattr__(table, "window", window)
+        object.__setattr__(table, "values", partial(fraction_rows, rows, den))
+        object.__setattr__(table, "scaled", (rows, den))
+        return table
 
     def at(self, k1: int, k2: int) -> Fraction:
         return self.values[k1][k2]
@@ -239,14 +265,22 @@ class Moment2Table:
         Every path to (a, b) multiplies the first a + b weights, so
         gamma(a, b) = gamma1(a + b) is a prefix product; the window is N - 1,
         the one ``moments`` fills from that grid. The weights are checked as
-        ``Shift2D.diagonal`` checks them, with the same errors.
+        ``Shift2D.diagonal`` checks them, with the same errors. The 2N - 1
+        prefix products are taken as reduced integer pairs and scaled once;
+        both forms of the table are slices of them.
         """
         weights = _diagonal_weights(weights_sq)
-        gamma = [Fraction(1)]
+        num, den, prefix = 1, 1, [(1, 1)]
         for w in weights[:-1]:
-            gamma.append(gamma[-1] * w)
+            a, b = w.as_integer_ratio()
+            num, den = num * a, den * b
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            prefix.append((num, den))
+        den = math.lcm(*(d for _, d in prefix))
+        ints = [a * (den // b) for a, b in prefix]
         n = (len(weights) + 1) // 2
-        return cls(n - 1, tuple(tuple(gamma[i:i + n]) for i in range(n)))
+        return cls.from_integers(n - 1, tuple(tuple(ints[i:i + n]) for i in range(n)), den)
 
     def sublattice(self, m: int, n: int, p: int, q: int) -> "Moment2Table":
         """Moments of the (m,n,p,q) sublattice restriction of the shift.
@@ -254,7 +288,9 @@ class Moment2Table:
         One restricted step multiplies m (or n) consecutive weights, so the
         restriction's moments are gamma'(i, j) = gamma(m*i + p, n*j + q) /
         gamma(p, q): the same numbers ``moments(restrict(...))`` computes
-        from the restricted grid, read off this table with strides.
+        from the restricted grid, read off this table with strides. Over
+        the table's one denominator that is N(m*i + p, n*j + q) / N(p, q),
+        so the view is the strided integers over N(p, q).
         """
         if m < 1 or n < 1 or p < 0 or q < 0:
             raise ValueError("need m,n >= 1 and p,q >= 0")
@@ -263,11 +299,13 @@ class Moment2Table:
             raise WindowTooSmall(
                 f"moment window {self.window} cannot host a ({m},{n}) sublattice at ({p},{q})"
             )
-        rows = tuple(row[q::n][:size + 1] for row in self.values[p::m][:size + 1])
-        scale = self.values[p][q]
-        if scale != 1:
-            rows = tuple(tuple(v / scale for v in row) for row in rows)
-        return Moment2Table(size, rows)
+        rows = tuple(row[q::n][:size + 1] for row in self.scaled[0][p::m][:size + 1])
+        scale = rows[0][0]
+        if scale == 0:
+            raise ZeroDivisionError(f"moment ({p},{q}) is zero")
+        if scale < 0:
+            rows, scale = tuple(tuple(-v for v in row) for row in rows), -scale
+        return Moment2Table.from_integers(size, rows, scale)
 
 
 def moments(shift: Shift2D, window: int) -> Moment2Table:
@@ -308,15 +346,22 @@ def _khypo_index_set(k: int) -> list:
 
 def moment_matrix(table: Moment2Table, u, k: int) -> SymMatrix:
     """Moment matrix at base point u: entry gamma_(u + a + b) over all index
-    pairs a, b with |a|, |b| <= k. Order (k+1)(k+2)/2."""
+    pairs a, b with |a|, |b| <= k. Order (k+1)(k+2)/2. The table must reach
+    u + 2k in both coordinates; the matrix keeps the table's integers."""
     u1, u2 = u
     if u1 < 0 or u2 < 0:
         raise ValueError(f"base point coordinates must be >= 0, got ({u1},{u2})")
+    reach = max(u1, u2) + 2 * k
+    if table.window < reach:
+        raise WindowTooSmall(
+            f"moment window {table.window} is below the {reach} a k={k} matrix at ({u1},{u2}) reads"
+        )
     idx = _khypo_index_set(k)
-    rows = tuple(
-        tuple(table.at(u1 + n + p, u2 + m + q) for (p, q) in idx) for (n, m) in idx
-    )
-    return SymMatrix(rows)
+    ints, den = table.scaled
+    band = ints[u1:u1 + 2 * k + 1]
+    cols = [(p, u2 + q) for p, q in idx]
+    rows = tuple(tuple(band[n + p][m + c] for p, c in cols) for n, m in idx)
+    return SymMatrix.from_integers(rows, den)
 
 
 @dataclass(frozen=True)
@@ -428,15 +473,14 @@ def six_point(
     with g1 = gamma(u+e1), g2 = gamma(u+e2), s = gamma(u+2e1) g - g1^2,
     t = gamma(u+2e2) g - g2^2 and c = gamma(u+e1+e2) g - g1 g2, iff s, t >= 0
     and c^2 <= s t. It agrees with ``k_hyponormal_2v`` at k = 1 on the verdict
-    and the first failing base point, and runs in integers: one common
-    denominator of the moments keeps every sign.
+    and the first failing base point, and runs on the table's integers: its
+    one positive denominator keeps every sign.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
     size = window + 3
     table = _sweep_table(target, size - 1, f"a six-point sweep over window {window}")
-    flat, _ = integer_scaled([v for row in table.values[:size] for v in row[:size]])
-    at = [flat[i:i + size] for i in range(0, len(flat), size)]
+    at, _ = table.scaled
     for u1, u2 in _base_points(window):
         g, g1, g2 = at[u1][u2], at[u1 + 1][u2], at[u1][u2 + 1]
         s = at[u1 + 2][u2] * g - g1 * g1

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.descriptors import shift2d_from_descriptor
-from shiftlab.embed import classical_embed
+from shiftlab.embed import classical_embed, classical_moments
 from shiftlab.exactcore import SymMatrix, psd_test
 from shiftlab.families import bergman_rank_one, flat_head_bergman
 from shiftlab.fixtures import (
@@ -22,10 +22,12 @@ from shiftlab.measures import AtomicMeasure1D
 from shiftlab.shift1d import detect_recursion, from_measure, power_decompose
 from shiftlab.shift2d import (
     Shift2D,
+    corner_restrict,
     helton_howe,
     k_hyponormal_2v,
     moments,
     power_components,
+    restrict,
     sie_bergman,
     six_point,
 )
@@ -189,6 +191,26 @@ def test_six_point_agrees_with_exact_k1_on_power_components(name):
     assert len(parts) == 6
     for (p, q), part in zip([(p, q) for p in range(2) for q in range(3)], parts):
         _same_six_point_and_k1_verdicts(part, 8, view=table.sublattice(2, 3, p, q))
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_six_point_on_integer_tables_agrees_with_the_weights(name):
+    # the prefix-product table and its strided views are integers over one
+    # denominator (a view's is the (p, q) numerator); six-point reads them
+    base = POWER_BASES[name]
+    embedding = classical_embed(base, 40)
+    table = classical_moments(base, 40)
+    for select, grid in [
+        ((1, 1, 0, 0), embedding),
+        ((1, 1, 2, 1), corner_restrict(embedding, 2, 1)),
+        ((1, 1, 1, 3), corner_restrict(embedding, 1, 3)),
+        ((2, 3, 1, 2), restrict(embedding, 2, 3, 1, 2)),
+        ((3, 2, 2, 1), restrict(embedding, 3, 2, 2, 1)),
+    ]:
+        view = table.sublattice(*select)
+        six = six_point(view, 8)
+        assert (six.holds, six.first_failure) == _six_point_by_weights(grid, 8), select
+        assert callable(vars(view)["_values"])  # no Fraction value was built
 
 
 def test_six_point_cross_check_meets_failures_past_the_origin():

@@ -670,6 +670,20 @@ def test_moment_matrix_rejects_negative_base_points(u):
     assert moment_matrix(table, (0, 0), 1).entries[0][0] == 1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: moments(sie_bergman(6), 5), lambda: classical_moments(bergman(), 6)],
+    ids=["walked", "diagonal"],
+)
+def test_moment_matrix_names_the_window_a_short_table_lacks(build):
+    table = build()  # window 5, as a walked table and as an integer table
+    assert moment_matrix(table, (1, 3), 1).order == 3  # reads exactly through 5
+    for u, k, reach in (((0, 4), 1, 6), ((2, 0), 2, 6), ((0, 0), 3, 6), ((6, 1), 1, 8)):
+        message = rf"^moment window 5 is below the {reach} a k={k} matrix at \({u[0]},{u[1]}\) reads$"
+        with pytest.raises(WindowTooSmall, match=message):
+            moment_matrix(table, u, k)
+
+
 # -- rows, columns, spherical structure --------------------------------------------
 
 
