@@ -191,22 +191,19 @@ class HyponormalityVerdict:
     certificate: Optional[PsdVerdict]
 
 
-def hankel_matrix(
-    moments: Sequence, order: int, base: int = 0, den: Optional[int] = None
-) -> SymMatrix:
-    """The (order+1)-square Hankel matrix (gamma_{base+i+j}).
-
-    With ``den``, ``moments`` are integer numerators over that positive
-    denominator, and the matrix keeps them (``SymMatrix.from_integers``).
-    """
+def hankel_matrix(moments: Sequence, order: int, base: int = 0, *, den: int) -> SymMatrix:
+    """The (order+1)-square Hankel matrix (gamma_{base+i+j}), from integer
+    moment numerators over the positive denominator ``den``; the matrix
+    keeps them (``SymMatrix.from_integers``)."""
     if base < 0:
         raise ValueError(f"base must be >= 0, got {base}")
-    rows = tuple(
-        tuple(moments[base + i + j] for j in range(order + 1)) for i in range(order + 1)
+    return SymMatrix.from_integers(
+        tuple(
+            tuple(moments[base + i + j] for j in range(order + 1))
+            for i in range(order + 1)
+        ),
+        den,
     )
-    if den is None:
-        return SymMatrix(rows)
-    return SymMatrix.from_integers(rows, den)
 
 
 def k_hyponormal(
@@ -225,7 +222,7 @@ def k_hyponormal(
         raise ValueError("window must be >= 0")
     moments, den = integer_scaled(shift.moments(window + 2 * k + 1))
     for u in range(window + 1):
-        verdict = psd_test(hankel_matrix(moments, k, u, den))
+        verdict = psd_test(hankel_matrix(moments, k, u, den=den))
         if not verdict.is_psd:
             return HyponormalityVerdict(False, k, window, u, verdict)
     return HyponormalityVerdict(True, k, window, None, None)

@@ -267,7 +267,8 @@ class Moment2Table:
         the one ``moments`` fills from that grid. The weights are checked as
         ``Shift2D.diagonal`` checks them, with the same errors. The 2N - 1
         prefix products are taken as reduced integer pairs and scaled once;
-        both forms of the table are slices of them.
+        the table's integers are slices of them, and its ``Fraction`` values
+        are built on first read.
         """
         weights = _diagonal_weights(weights_sq)
         num, den, prefix = 1, 1, [(1, 1)]
@@ -358,9 +359,9 @@ def moment_matrix(table: Moment2Table, u, k: int) -> SymMatrix:
         )
     idx = _khypo_index_set(k)
     ints, den = table.scaled
-    band = ints[u1:u1 + 2 * k + 1]
-    cols = [(p, u2 + q) for p, q in idx]
-    rows = tuple(tuple(band[n + p][m + c] for p, c in cols) for n, m in idx)
+    rows = tuple(
+        tuple(ints[u1 + n + p][u2 + m + q] for (p, q) in idx) for (n, m) in idx
+    )
     return SymMatrix.from_integers(rows, den)
 
 
