@@ -479,8 +479,7 @@ def six_point(
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    size = window + 3
-    table = _sweep_table(target, size - 1, f"a six-point sweep over window {window}")
+    table = _sweep_table(target, window + 2, f"a six-point sweep over window {window}")
     at, _ = table.scaled
     for u1, u2 in _base_points(window):
         g, g1, g2 = at[u1][u2], at[u1 + 1][u2], at[u1][u2 + 1]

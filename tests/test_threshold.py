@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from shiftlab import shift2d, threshold
+from shiftlab import exactcore, shift2d, threshold
 from shiftlab.descriptors import shift1d_from_descriptor
 from shiftlab.embed import classical_embed, classical_moments
 from shiftlab.errors import NotMonotone
@@ -137,6 +137,29 @@ def test_query_validation():
     for op in ("khypo1", "khypo2", "sixpoint"):
         with pytest.raises(ValueError, match="k must be >= 1"):
             query_from_descriptor(FAMILY, op=op, k=0)
+
+
+@pytest.mark.parametrize(
+    "op, k, select",
+    [
+        ("khypo2", 1, {}),
+        ("khypo2", 2, {"restriction": (2, 3, 0, 0)}),
+        ("khypo2", 2, {"power": (2, 2)}),
+        ("sixpoint", 1, {}),
+        ("sixpoint", 1, {"power": (2, 3)}),
+    ],
+)
+@pytest.mark.parametrize("x", [F(1, 2), F(3, 4)])
+def test_two_variable_predicates_read_only_table_integers(monkeypatch, op, k, select, x):
+    # prefix tables, their views and their matrices stay integers: no
+    # Fraction value is built from them on the way to a verdict
+    def forbidden(*args):
+        raise AssertionError("a Fraction value was built from table integers")
+
+    monkeypatch.setattr(shift2d, "fraction_rows", forbidden)
+    monkeypatch.setattr(exactcore, "fraction_rows", forbidden)
+    query = ThresholdQuery(RANK_ONE_TEMPLATE, "x", F(1, 2), F(3, 4), op, k=k, window=6, **select)
+    assert evaluate_predicate(query, x) == (x == F(1, 2))
 
 
 def test_sixpoint_grid_is_sized_for_k1(monkeypatch):
