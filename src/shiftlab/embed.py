@@ -1,9 +1,9 @@
 """Embeddings of 1-variable shifts into 2-variable shifts.
 
 Three routes: the classical grid (same weight along every diagonal), the
-polynomial-pair route driven by pushforward moments, and the row-by-row
-constant-sum construction, which can stall and then reports exactly where
-and why.
+polynomial-pair route, which builds the shift from its pushforward moment
+table, and the row-by-row constant-sum construction, which can stall and
+then reports exactly where and why.
 """
 
 from __future__ import annotations
@@ -61,7 +61,12 @@ class EmbeddingSpec:
             raise ValueError("spherical embeddings need the constant c")
 
     def build(self, window: int):
-        """Materialize the grid; the spherical route may return a StallReport."""
+        """The shift on a window x window grid.
+
+        The classical and row-0 spherical routes build its weights; the poly
+        and measure-based spherical routes build it from its moment table.
+        The row-0 spherical route may return a StallReport instead.
+        """
         if self.kind == "classical":
             return classical_embed(self.source, window)
         if self.kind == "poly":
@@ -100,25 +105,19 @@ def classical_moments(shift: Shift1D, window: int) -> Moment2Table:
 def poly_embed(sigma, p: RationalPolynomial, q: RationalPolynomial, window: int) -> Shift2D:
     """2-variable shift whose moments are the (p, q)-pushforward moments.
 
-    Squared weights are the moment ratios alpha_sq = gamma(k+e1)/gamma(k) and
-    beta_sq = gamma(k+e2)/gamma(k); commutativity then holds by construction.
+    The pushforward table through ``window`` is scaled to integers once and
+    the shift is built from it (``Shift2D.from_moments``): its squared weights
+    are the moment ratios alpha_sq = gamma(k+e1)/gamma(k) and
+    beta_sq = gamma(k+e2)/gamma(k), so commutativity holds by construction.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    oracle = pushforward_moments(sigma, p, q)
-    size = window + 1
-    table = [[oracle.moment(i, j) for j in range(size)] for i in range(size)]
+    rows, den = pushforward_moments(sigma, p, q).scaled_table(window)
     for i in range(window):
         for j in range(window):
-            if table[i][j] == 0:
+            if rows[i][j] == 0:
                 raise ZeroMoment(f"pushforward moment ({i},{j}) vanishes")
-    alpha = [
-        [table[i + 1][j] / table[i][j] for j in range(window)] for i in range(window)
-    ]
-    beta = [
-        [table[i][j + 1] / table[i][j] for j in range(window)] for i in range(window)
-    ]
-    return Shift2D(alpha, beta)
+    return Shift2D.from_moments(Moment2Table.from_integers(window, rows, den))
 
 
 def spherical_embed_iterative(

@@ -277,6 +277,30 @@ class Pushforward2D:
         self._rows[k1] = (k2, poly)
         return poly
 
+    def scaled_table(self, window: int) -> tuple:
+        """(rows, d): moment(k1, k2) == rows[k1][k2] / d for 0 <= k1, k2 <= window.
+
+        Over d = L d_p^window d_q^window the cell is (sum of c_i W_i)
+        d_p^(window - k1) d_q^(window - k2). Every base moment the table
+        needs is read up front, so L is fixed; each row then walks from
+        P^k1 with one multiply by Q per cell, holding one expansion at a time.
+        """
+        p, q = self._p_int, self._q_int
+        weights = self._base_moments(sum(window * (len(f) - 1) for f in (p, q) if f) + 1)
+        p_scale = [self._p_den ** (window - k) for k in range(window + 1)]
+        q_scale = [self._q_den ** (window - k) for k in range(window + 1)]
+        rows, start = [], [1]
+        for k1 in range(window + 1):
+            if k1:
+                start = _int_poly_mul(start, p)
+            poly, row = start, []
+            for k2 in range(window + 1):
+                if k2:
+                    poly = _int_poly_mul(poly, q)
+                row.append(sum(map(operator.mul, poly, weights)) * p_scale[k1] * q_scale[k2])
+            rows.append(tuple(row))
+        return tuple(rows), self._base_den * p_scale[0] * q_scale[0]
+
     def moment(self, k1: int, k2: int) -> Fraction:
         key = (k1, k2)
         if key not in self._cache:

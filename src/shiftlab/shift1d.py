@@ -103,9 +103,11 @@ class Shift1D:
             )
         else:
             w = self.tail.weight_sq(k)
-        if w <= 0:
+        # denominators are positive: the signs and the bound are integer tests
+        if w.numerator <= 0:
             raise ValueError(f"squared weight at index {k} is not positive: {w}")
-        if self.norm_bound_sq is not None and w > self.norm_bound_sq:
+        bound = self.norm_bound_sq
+        if bound is not None and w.numerator * bound.denominator > bound.numerator * w.denominator:
             raise ValueError(
                 f"squared weight {w} at index {k} exceeds norm bound {self.norm_bound_sq}"
             )

@@ -1,14 +1,17 @@
 """2-variable weighted shifts over truncation windows.
 
 A shift is a pair of squared-weight grids (horizontal ``alpha_sq``, vertical
-``beta_sq``) that satisfy the commuting-pair identity exactly. A shift with
-no generator rule is only defined on its window: any operation that needs
-more data fails loudly instead of extrapolating.
+``beta_sq``) that satisfy the commuting-pair identity exactly. A shift built
+from its moment table keeps that table and builds the grids on first read.
+A shift with no generator rule is only defined on its window: any operation
+that needs more data fails loudly instead of extrapolating.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -131,13 +134,30 @@ def _diagonal_weights(weights_sq) -> tuple:
     if len(weights) % 2 == 0:
         raise ValueError("need 2N - 1 diagonal weights for some N >= 1")
     for i, w in enumerate(weights):
-        if w <= 0:
+        if w.numerator <= 0:
             raise ValueError(f"diagonal weight {i} = {w} is not positive")
     return weights
 
 
+def _ratio_grid(rows, di: int, dj: int) -> tuple:
+    """The n x n grid rows[i + di][j + dj] / rows[i][j], for n + 1 integer rows."""
+    n = len(rows) - 1
+    return tuple(
+        tuple(Fraction(rows[i + di][j + dj], rows[i][j]) for j in range(n)) for i in range(n)
+    )
+
+
 class Shift2D:
-    """Commuting 2-variable weighted shift on an N-by-N truncation window."""
+    """Commuting 2-variable weighted shift on an N-by-N truncation window.
+
+    ``moment_rows`` is None for a shift given by its weights. A shift built by
+    ``from_moments`` holds there the integer moment table through N, scaled
+    so that rows[0][0] > 0, and builds ``alpha_grid`` and ``beta_grid`` from
+    it on first read.
+    """
+
+    alpha_grid = DeferredField()
+    beta_grid = DeferredField()
 
     def __init__(self, alpha_grid, beta_grid, rule: Optional[GeneratorRule] = None):
         alpha = tuple(tuple(as_rational(w) for w in row) for row in alpha_grid)
@@ -159,11 +179,9 @@ class Shift2D:
                     raise CommutativityViolation((i, j))
         self.alpha_grid = alpha
         self.beta_grid = beta
+        self.window = n
         self.rule = rule
-
-    @property
-    def window(self) -> int:
-        return len(self.alpha_grid)
+        self.moment_rows = None
 
     @classmethod
     def from_rule(cls, rule: GeneratorRule, window: int) -> "Shift2D":
@@ -184,7 +202,44 @@ class Shift2D:
         n = (len(weights) + 1) // 2
         shift = cls.__new__(cls)
         shift.alpha_grid = shift.beta_grid = tuple(weights[i:i + n] for i in range(n))
+        shift.window = n
         shift.rule = None
+        shift.moment_rows = None
+        return shift
+
+    @classmethod
+    def from_moments(cls, table: Moment2Table, rule: Optional[GeneratorRule] = None) -> "Shift2D":
+        """The N x N shift whose moments are ``table`` (through N) over gamma(0,0).
+
+        Its weights are alpha_sq(i, j) = gamma(i+1, j) / gamma(i, j) and
+        beta_sq(i, j) = gamma(i, j+1) / gamma(i, j). Both products at (i, j)
+        are gamma(i+1, j+1) / gamma(i, j), so the commuting-pair identity holds
+        by construction. A zero moment below the window raises
+        ``ZeroDivisionError``; signs are checked on the table's integers, with
+        the error the grid check raises, and the grids are built on first read.
+        ``rule``, if given, answers reads beyond the window.
+        """
+        rows, _ = table.scaled
+        n = table.window
+        if n < 1:
+            raise ValueError("grids must be nonempty with equal shape")
+        if rows[0][0] < 0:
+            rows = tuple(tuple(-v for v in row) for row in rows)
+        for i, j in itertools.product(range(n), repeat=2):
+            if rows[i][j] == 0:
+                raise ZeroDivisionError(f"moment ({i},{j}) is zero")
+        # a ratio is positive iff its two integers are nonzero with one sign
+        for name, di, dj in (("alpha", 1, 0), ("beta", 0, 1)):
+            for i, j in itertools.product(range(n), repeat=2):
+                a, b = rows[i + di][j + dj], rows[i][j]
+                if a == 0 or (a < 0) != (b < 0):
+                    raise ValueError(f"{name}_sq[{i}][{j}] = {Fraction(a, b)} is not positive")
+        shift = cls.__new__(cls)
+        shift.alpha_grid = partial(_ratio_grid, rows, 1, 0)
+        shift.beta_grid = partial(_ratio_grid, rows, 0, 1)
+        shift.window = n
+        shift.rule = rule
+        shift.moment_rows = rows
         return shift
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
@@ -215,11 +270,25 @@ def helton_howe(window: int) -> Shift2D:
 
 def sie_bergman(window: int) -> Shift2D:
     """The spherically isometric grid with alpha_sq = (k1+1)/(k1+k2+2) and
-    beta_sq = (k2+1)/(k1+k2+2); its rows are the higher Agler shifts."""
+    beta_sq = (k2+1)/(k1+k2+2); its rows are the higher Agler shifts.
+
+    Its moments k1! k2! / (k1+k2+1)! are those of arclength on the segment
+    from (1,0) to (0,1). The shift is built from them, as the integers
+    k1! k2! (2N+1)! / (k1+k2+1)! through N = window, and keeps the rule for
+    rows, columns and reads beyond the window.
+    """
     den = BivariatePoly(((2, 1), (1,)))
     alpha = BivariateRational(BivariatePoly(((1,), (1,))), den)
     beta = BivariateRational(BivariatePoly(((1, 1),)), den)
-    return Shift2D.from_rule(GeneratorRule(alpha, beta), window)
+    # 0!, 1!, ..., (2N+1)!
+    fact = list(itertools.accumulate(range(1, 2 * window + 2), operator.mul, initial=1))
+    top = fact[-1]
+    rows = tuple(
+        tuple(fact[i] * fact[j] * (top // fact[i + j + 1]) for j in range(window + 1))
+        for i in range(window + 1)
+    )
+    table = Moment2Table.from_integers(window, rows, top)
+    return Shift2D.from_moments(table, rule=GeneratorRule(alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +381,20 @@ class Moment2Table:
 def moments(shift: Shift2D, window: int) -> Moment2Table:
     """Moment table, asserting path-independence cell by cell.
 
-    Any monotone staircase from the origin gives the same product; the fill
-    checks the alpha route against the beta route and raises
-    ``CommutativityViolation`` on the first mismatch.
+    A shift built from its moments answers a window below its own with a
+    slice of that table over gamma(0,0). Otherwise any monotone staircase
+    from the origin gives the same product; the fill checks the alpha route
+    against the beta route and raises ``CommutativityViolation`` on the
+    first mismatch.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
     size = window + 1
+    rows = shift.moment_rows
+    if rows is not None and window < shift.window:
+        return Moment2Table.from_integers(
+            window, tuple(row[:size] for row in rows[:size]), rows[0][0]
+        )
     table = [[None] * size for _ in range(size)]
     table[0][0] = Fraction(1)
     for i in range(1, size):
@@ -377,20 +453,21 @@ class Hyponormality2VVerdict:
 def grid_reach(k: int, window: int, power=None, restriction=None) -> int:
     """Grid size a k-hyponormality sweep over u1 + u2 <= window needs.
 
-    The sweep reads moments up to window + 2k, so the grid extends one step
-    further. A restriction (m, n, p, q) reaches that far in its own steps,
-    each m (or n) grid steps long; a power (m, n) reaches as far as its
-    farthest component, (m - 1, n - 1), and is checked here, before a build.
+    The sweep reads moments up to window + 2k, and a grid one cell larger
+    holds them. A restriction (m, n, p, q) reads them in its own steps, each
+    m (or n) grid steps long, so the table must reach
+    max(m*(window + 2k) + p, n*(window + 2k) + q); a power (m, n) reaches as
+    far as its farthest component, the restriction (m, n, m - 1, n - 1), and
+    is checked here, before a build. The whole shift is the restriction
+    (1, 1, 0, 0).
     """
-    need = window + 2 * k + 1
-    if restriction is None and power is not None:
-        m, n = power
+    if restriction is None:
+        m, n = power or (1, 1)
         _check_power(m, n)
         restriction = (m, n, m - 1, n - 1)
-    if restriction is None:
-        return need
     m, n, p, q = restriction
-    return max(m * need + p, n * need + q) + 1
+    reads = window + 2 * k
+    return max(m * reads + p, n * reads + q) + 1
 
 
 def _base_points(window: int):

@@ -77,6 +77,29 @@ def test_rule_zero_denominator_messages_are_unchanged():
     assert rule == RationalWeightRule(RationalPolynomial.of(1), RationalPolynomial.of(-3, 1), 1)
 
 
+@pytest.mark.parametrize(
+    "prefix, bound, text",
+    [
+        (["2/3"], "2/3", None),  # a weight at the bound is within it
+        (["5", "3/2"], None, None),
+        (["1/2", "-1/3"], None, "squared weight at index 1 is not positive: -1/3"),
+        (["0"], "1", "squared weight at index 0 is not positive: 0"),
+        (["1/2", "7/10"], "2/3", "squared weight 7/10 at index 1 exceeds norm bound 2/3"),
+        (["666667/1000000"], "2/3",
+         "squared weight 666667/1000000 at index 0 exceeds norm bound 2/3"),
+        (["333333/500000"], "2/3", None),
+    ],
+)
+def test_weight_checks_keep_their_texts(prefix, bound, text):
+    shift = Shift1D(prefix, norm_bound_sq=bound)
+    if text is None:
+        assert shift.weights_sq(len(prefix)) == [F(w) for w in prefix]
+    else:
+        with pytest.raises(ValueError) as err:
+            shift.weights_sq(len(prefix))
+        assert str(err.value) == text
+
+
 def test_unweighted_moments():
     u = unweighted()
     assert all(u.moment(k) == 1 for k in range(10))

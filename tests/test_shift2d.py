@@ -14,6 +14,7 @@ from shiftlab.shift2d import (
     BivariatePoly,
     BivariateRational,
     GeneratorRule,
+    Moment2Table,
     Shift2D,
     col,
     corner_restrict,
@@ -89,12 +90,25 @@ def test_diagonal_rejects_bad_weights(weights, error):
         Shift2D.diagonal(weights)
 
 
+@pytest.mark.parametrize(
+    "weights, text",
+    [([1, 0, 2], "diagonal weight 1 = 0 is not positive"),
+     ([1, 2, "-1/3"], "diagonal weight 2 = -1/3 is not positive")],
+)
+def test_diagonal_weight_errors_keep_their_texts(weights, text):
+    for build in (Shift2D.diagonal, Moment2Table.diagonal):
+        with pytest.raises(ValueError) as err:
+            build(weights)
+        assert str(err.value) == text
+
+
 def test_sie_bergman_moments():
-    shift = sie_bergman(8)
+    # sie_bergman is built from this table, so walk the grid of its rule
+    shift = Shift2D.from_rule(sie_bergman(8).rule, 8)
     table = moments(shift, 7)
     assert table.at(2, 1) == F(1, 12)
-    for k1 in range(7):
-        for k2 in range(7):
+    for k1 in range(8):
+        for k2 in range(8):
             assert table.at(k1, k2) == F(fact(k1) * fact(k2), fact(k1 + k2 + 1))
 
 
@@ -309,27 +323,29 @@ def test_six_point_flat_head_family():
 
 
 def test_grid_reach_values():
+    # max(m*(window + 2k) + p, n*(window + 2k) + q) + 1, a power (m, n)
+    # read as the restriction (m, n, m - 1, n - 1)
     assert grid_reach(1, 15) == 18
-    assert grid_reach(2, 15, restriction=(2, 3, 0, 0)) == 61
-    assert grid_reach(1, 6, power=(2, 3)) == 30
-    assert grid_reach(2, 6, power=(2, 2)) == 24
+    assert grid_reach(2, 15, restriction=(2, 3, 0, 0)) == 58
+    assert grid_reach(2, 15, power=(2, 3)) == 60
+    assert grid_reach(1, 6, power=(2, 3)) == 27
+    assert grid_reach(2, 6, power=(2, 2)) == 22
     # a restriction wins over a power, as in the CLI and threshold queries
-    assert grid_reach(1, 4, power=(3, 3), restriction=(1, 2, 0, 1)) == 16
+    assert grid_reach(1, 4, power=(3, 3), restriction=(1, 2, 0, 1)) == 14
 
 
 @pytest.mark.parametrize("k, window", [(1, 3), (2, 2)])
 def test_grid_reach_is_enough_and_tight(k, window):
+    # every view sweep_targets gives at grid_reach holds the sweep; one cell
+    # less and some view falls short
     base = bergman_rank_one(F(3, 5))
-    reach = grid_reach(k, window)
-    k_hyponormal_2v(classical_embed(base, reach), k, window)
-    with pytest.raises(WindowTooSmall):
-        k_hyponormal_2v(classical_embed(base, reach - 1), k, window)
-    for power in ((2, 3), (3, 1)):
-        grid = classical_embed(base, grid_reach(k, window, power=power))
-        for part in power_components(grid, *power):
-            k_hyponormal_2v(part, k, window)
-    grid = classical_embed(base, grid_reach(k, window, restriction=(2, 3, 1, 2)))
-    k_hyponormal_2v(restrict(grid, 2, 3, 1, 2), k, window)
+    for select in ({}, {"power": (2, 3)}, {"power": (3, 1)}, {"restriction": (2, 3, 1, 2)}):
+        for view in sweep_targets(lambda size: classical_embed(base, size), k, window, **select):
+            k_hyponormal_2v(view, k, window)
+        with pytest.raises(WindowTooSmall):
+            for view in sweep_targets(lambda size: classical_embed(base, size - 1), k, window,
+                                      **select):
+                k_hyponormal_2v(view, k, window)
 
 
 def _cells(shift):

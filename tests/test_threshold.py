@@ -10,7 +10,6 @@ from shiftlab.embed import classical_embed, classical_moments
 from shiftlab.errors import NotMonotone
 from shiftlab.shift2d import (
     DEFAULT_WINDOW_2D,
-    grid_reach,
     k_hyponormal_2v,
     restrict,
     sweep_targets,
@@ -212,7 +211,12 @@ def test_khypo2_restriction_predicate_reads_one_moment_table(
     # only through c = p + q + m*u1 + n*u2, so one base point per new c is
     # tested, up to and including that failure
     shift = shift1d_from_descriptor(substitute_parameter(template, "x", x))
-    grid = classical_embed(shift, grid_reach(k, window, **select))
+    # restrict() builds each component's own grid, which must hold
+    # window + 2k + 1 of its steps: more than grid_reach, which sizes views
+    need = window + 2 * k + 1
+    grid = classical_embed(
+        shift, max(max(m * need + p, n * need + q) for m, n, p, q in _selectors(**select))
+    )
     bases = [(u1, total - u1) for total in range(window + 1) for u1 in range(total + 1)]
     expected, offsets, holds = [], set(), True
     for m, n, p, q in _selectors(**select):
