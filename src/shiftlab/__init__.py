@@ -27,7 +27,6 @@ from .exactcore import (
     SymMatrix,
     as_rational,
     format_rational,
-    poly_eval,
     poly_nonneg_on,
     psd_test,
     psd_test_minors,

@@ -33,7 +33,7 @@ from .descriptors import (
 )
 from .embed import StallReport, recover_densities
 from .errors import DenominatorLimitExceeded, DescriptorError, ShiftLabError
-from .exactcore import RationalPolynomial, as_rational, format_rational
+from .exactcore import RationalPolynomial, as_rational, format_rational, fraction_rows
 from .fixtures import run_all
 from .measures import marginal, pushforward_atomic, pushforward_moments
 from .shift1d import (
@@ -222,6 +222,8 @@ def moments1(shift_file, count, as_csv):
 def moments2(shift_file, window, as_csv):
     """Moment table of a 2-variable shift."""
     data = _load(shift_file)
+    if window < 0:
+        raise ValueError("window must be >= 0")
     shift = shift2d_from_descriptor(data, window=window + 1)
     table = moments(shift, window)
     return {
@@ -502,12 +504,7 @@ def pushforward(measure_file, p_text, q_text, window, as_csv):
         result = {"measure": measure_to_descriptor(mu)}
     else:
         oracle = pushforward_moments(sigma, p, q)
-        result = {
-            "moments": [
-                [oracle.moment(i, j) for j in range(window + 1)]
-                for i in range(window + 1)
-            ]
-        }
+        result = {"moments": fraction_rows(*oracle.scaled_table(window))}
     return {
         "inputs": inputs,
         "params": {"window": window},
@@ -562,6 +559,8 @@ def recover(shift_file, atoms_text, window, as_csv):
 def spherical_check_cmd(shift_file, window, as_csv):
     """Constant weight-sum check; reports the constant when it exists."""
     data = _load(shift_file)
+    if window is not None and window < 0:
+        raise ValueError("window must be >= 0")
     shift = shift2d_from_descriptor(data, window=None if window is None else window + 2)
     constant = spherical_check(shift, window)
     return {

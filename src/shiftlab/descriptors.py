@@ -8,7 +8,13 @@ JSON-path diagnostic.
 
 from __future__ import annotations
 
-from .embed import EmbeddingSpec
+from .embed import (
+    EmbeddingSpec,
+    classical_embed,
+    poly_embed,
+    spherical_embed_iterative,
+    spherical_embed_measure,
+)
 from .errors import DescriptorError
 from .exactcore import RationalPolynomial, as_rational, format_rational
 from .measures import (
@@ -302,7 +308,8 @@ def shift2d_from_descriptor(data, path="$", window=None) -> Shift2D:
 
 
 def embedding_from_descriptor(data, path="$"):
-    """Parse an embedding descriptor into an ``EmbeddingSpec``.
+    """Parse an embedding descriptor into an ``EmbeddingSpec``; the one place
+    an embedding kind is mapped to its route.
 
     Shapes: {"kind":"classical","base":<shift>}, {"kind":"poly","p":[...],
     "q":[...],"base":<measure>}, {"kind":"spherical","c":"1","row0":<shift>}
@@ -310,30 +317,20 @@ def embedding_from_descriptor(data, path="$"):
     """
     kind = _require(data, "kind", path)
     if kind == "classical":
-        return EmbeddingSpec(
-            "classical",
-            shift1d_from_descriptor(_require(data, "base", path), f"{path}.base"),
-        )
+        base = shift1d_from_descriptor(_require(data, "base", path), f"{path}.base")
+        return EmbeddingSpec(classical_embed, (base,))
     if kind == "poly":
-        return EmbeddingSpec(
-            "poly",
-            measure1d_from_descriptor(_require(data, "base", path), f"{path}.base"),
-            p=_polynomial(_require(data, "p", path), f"{path}.p"),
-            q=_polynomial(_require(data, "q", path), f"{path}.q"),
-        )
+        base = measure1d_from_descriptor(_require(data, "base", path), f"{path}.base")
+        p = _polynomial(_require(data, "p", path), f"{path}.p")
+        q = _polynomial(_require(data, "q", path), f"{path}.q")
+        return EmbeddingSpec(poly_embed, (base, p, q))
     if kind == "spherical":
         c = _rational(data.get("c", 1), f"{path}.c")
         if "row0" in data:
-            return EmbeddingSpec(
-                "spherical",
-                shift1d_from_descriptor(data["row0"], f"{path}.row0"),
-                c=c,
-            )
-        return EmbeddingSpec(
-            "spherical",
-            measure1d_from_descriptor(_require(data, "base", path), f"{path}.base"),
-            c=c,
-        )
+            row0 = shift1d_from_descriptor(data["row0"], f"{path}.row0")
+            return EmbeddingSpec(spherical_embed_iterative, (row0, c))
+        base = measure1d_from_descriptor(_require(data, "base", path), f"{path}.base")
+        return EmbeddingSpec(spherical_embed_measure, (base, c))
     raise DescriptorError(f"unknown embedding kind {kind!r}", path)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import NonpositiveDensity, ZeroMoment
 from .exactcore import RationalPolynomial, as_rational, vandermonde_solve
@@ -39,41 +39,17 @@ class StallReport:
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
-    """A deferred embedding: which route, from which source.
+    """A deferred embedding: one of the route functions below and the
+    arguments it takes before the window, e.g. ``(poly_embed, (sigma, p, q))``.
+    ``embedding_from_descriptor`` picks the route."""
 
-    ``source`` is a 1-variable shift (classical route, or row 0 of the
-    iterative constant-sum route) or a 1-variable moment oracle (polynomial
-    and measure-based constant-sum routes).
-    """
-
-    kind: str  # "classical" | "poly" | "spherical"
-    source: object
-    p: Optional[RationalPolynomial] = None
-    q: Optional[RationalPolynomial] = None
-    c: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.kind not in ("classical", "poly", "spherical"):
-            raise ValueError(f"unknown embedding kind {self.kind!r}")
-        if self.kind == "poly" and (self.p is None or self.q is None):
-            raise ValueError("poly embeddings need both polynomials")
-        if self.kind == "spherical" and self.c is None:
-            raise ValueError("spherical embeddings need the constant c")
+    route: Callable
+    args: tuple
 
     def build(self, window: int):
-        """The shift on a window x window grid.
-
-        The classical and row-0 spherical routes build its weights; the poly
-        and measure-based spherical routes build it from its moment table.
-        The row-0 spherical route may return a StallReport instead.
-        """
-        if self.kind == "classical":
-            return classical_embed(self.source, window)
-        if self.kind == "poly":
-            return poly_embed(self.source, self.p, self.q, window)
-        if isinstance(self.source, Shift1D):
-            return spherical_embed_iterative(self.source, self.c, window)
-        return spherical_embed_measure(self.source, self.c, window)
+        """``route(*args, window)``: the shift on a window x window grid, or
+        the ``StallReport`` of a stalled row-0 constant-sum construction."""
+        return self.route(*self.args, window)
 
 
 def classical_embed(shift: Shift1D, window: int) -> Shift2D:
@@ -198,7 +174,7 @@ def recover_densities(shift: Shift2D, atoms: Sequence) -> AtomicMeasure2D:
     c = spherical_check(shift)
     if c is None:
         raise ValueError("grid does not have a constant weight sum on its window")
-    table = moments(shift, len(atoms) - 1) if len(atoms) > 1 else moments(shift, 0)
+    table = moments(shift, len(atoms) - 1)
     rhs = [table.at(k, 0) for k in range(len(atoms))]
     densities = vandermonde_solve(atoms, rhs)
     for atom, density in zip(atoms, densities):

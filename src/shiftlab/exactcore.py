@@ -161,11 +161,6 @@ def numerator_denominator(x) -> tuple:
     return x.numerator, x.denominator
 
 
-def poly_eval(polynomial: RationalPolynomial, x) -> Fraction:
-    """Exact evaluation; function-call form of ``polynomial(x)``."""
-    return polynomial(x)
-
-
 def poly_divmod(a: RationalPolynomial, b: RationalPolynomial):
     """Exact Euclidean division: a = q*b + r with deg r < deg b."""
     if b.is_zero():

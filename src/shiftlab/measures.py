@@ -221,11 +221,9 @@ class Pushforward2D:
     monomial moments, and computed in integers. With p = P/d_p and
     q = Q/d_q for integer polynomials P, Q, and base moments W_i/L over one
     common denominator, the moment is (sum of c_i W_i) / (L d_p^k1 d_q^k2)
-    where c_i are the coefficients of P^k1 Q^k2. Row k1 starts from P^k1 and
-    walks right with one integer multiply by Q per cell; only the requested
-    cell is dotted with the base moments, so a cell reads exactly the base
-    moments its own expansion needs (none when P^k1 Q^k2 is zero). Computed
-    moments are memoized.
+    where c_i are the coefficients of P^k1 Q^k2. A cell expands its own
+    P^k1 Q^k2 and reads exactly the base moments that expansion needs (none
+    when it is zero); a whole table comes from ``scaled_table``.
     """
 
     kind = "pushforward"
@@ -246,11 +244,8 @@ class Pushforward2D:
         )
         self._p_int, self._p_den = integer_scaled(p.coefficients)
         self._q_int, self._q_den = integer_scaled(q.coefficients)
-        self._row_starts = [[1]]  # P^k1
-        self._rows = {}  # k1 -> (k2, P^k1 Q^k2) reached by the walk
         self._base_num = []  # W_i: base moment i times _base_den
         self._base_den = 1  # L
-        self._cache = {}
 
     def _base_moments(self, count: int) -> list:
         """W_0..W_{count-1}, reading only the base moments not yet read."""
@@ -263,19 +258,6 @@ class Pushforward2D:
             self._base_num += [m.numerator * (den // m.denominator) for m in fresh]
             self._base_den = den
         return self._base_num
-
-    def _expansion(self, k1: int, k2: int) -> list:
-        """Integer coefficients of P^k1 Q^k2 ([] when it is zero)."""
-        starts = self._row_starts
-        while len(starts) <= k1:
-            starts.append(_int_poly_mul(starts[-1], self._p_int))
-        at, poly = self._rows.get(k1, (0, starts[k1]))
-        if at > k2:
-            at, poly = 0, starts[k1]
-        for _ in range(k2 - at):
-            poly = _int_poly_mul(poly, self._q_int)
-        self._rows[k1] = (k2, poly)
-        return poly
 
     def scaled_table(self, window: int) -> tuple:
         """(rows, d): moment(k1, k2) == rows[k1][k2] / d for 0 <= k1, k2 <= window.
@@ -302,17 +284,17 @@ class Pushforward2D:
         return tuple(rows), self._base_den * p_scale[0] * q_scale[0]
 
     def moment(self, k1: int, k2: int) -> Fraction:
-        key = (k1, k2)
-        if key not in self._cache:
-            if k1 < 0 or k2 < 0:
-                raise ValueError(f"moment indices must be >= 0, got ({k1},{k2})")
-            poly = self._expansion(k1, k2)
-            weights = self._base_moments(len(poly))
-            self._cache[key] = Fraction(
-                sum(map(operator.mul, poly, weights)),
-                self._base_den * self._p_den**k1 * self._q_den**k2,
-            )
-        return self._cache[key]
+        if k1 < 0 or k2 < 0:
+            raise ValueError(f"moment indices must be >= 0, got ({k1},{k2})")
+        poly = [1]
+        for factor, power in ((self._p_int, k1), (self._q_int, k2)):
+            for _ in range(power):
+                poly = _int_poly_mul(poly, factor)
+        weights = self._base_moments(len(poly))
+        return Fraction(
+            sum(map(operator.mul, poly, weights)),
+            self._base_den * self._p_den**k1 * self._q_den**k2,
+        )
 
 
 class RowMeasure:

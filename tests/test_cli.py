@@ -11,9 +11,11 @@ from click.testing import CliRunner
 
 import shiftlab
 from shiftlab.cli import main
-from shiftlab.descriptors import shift2d_to_descriptor
+from shiftlab.descriptors import measure1d_from_descriptor, shift2d_to_descriptor
 from shiftlab.embed import classical_embed
+from shiftlab.exactcore import RationalPolynomial, format_rational
 from shiftlab.families import bergman_rank_one
+from shiftlab.measures import Pushforward2D
 from shiftlab.shift2d import restrict, sie_bergman
 
 
@@ -69,6 +71,10 @@ def files(tmp_path):
             },
         ),
     }
+
+
+# Lebesgue measure's moments 1/(n + 1), as a table supported in [0, 1]
+LEBESGUE_TABLE = {"kind": "prefix_table", "moments": [f"1/{n + 1}" for n in range(16)]}
 
 
 def _payload(result):
@@ -369,6 +375,44 @@ def test_pushforward_window_zero_is_the_total_mass(runner, tmp_path):
     assert _payload(result)["result"] == {"moments": [["1"]]}
 
 
+@pytest.mark.parametrize("window", range(5))
+@pytest.mark.parametrize(
+    "base",
+    [{"kind": "lebesgue01"}, {"kind": "beta", "j": 3}, LEBESGUE_TABLE],
+    ids=["lebesgue01", "beta3", "prefix_table"],
+)
+def test_pushforward_report_equals_the_oracle_cell_by_cell(runner, tmp_path, base, window):
+    measure = tmp_path / "base.json"
+    measure.write_text(json.dumps(base))
+    p, q = RationalPolynomial.of(0, F(1, 2), F(1, 3)), RationalPolynomial.of(1, F(-2, 3))
+    result = runner.invoke(
+        main, ["pushforward", "--measure", str(measure), "--p", "0,1/2,1/3",
+               "--q", "1,-2/3", "--window", str(window)]
+    )
+    assert result.exit_code == 0
+    oracle = Pushforward2D(measure1d_from_descriptor(base), p, q)
+    assert _payload(result)["result"]["moments"] == [
+        [format_rational(oracle.moment(i, j)) for j in range(window + 1)]
+        for i in range(window + 1)
+    ]
+
+
+def test_pushforward_reads_a_prefix_table_up_to_its_last_moment(runner, tmp_path):
+    # p = r, q = 0: window W reads moments 0..W of the table
+    measure = tmp_path / "table.json"
+    measure.write_text(json.dumps({"kind": "prefix_table", "moments": ["1", "1/2", "1/3"]}))
+    args = ["pushforward", "--measure", str(measure), "--p", "0,1", "--q", "0", "--window"]
+    answered = runner.invoke(main, [*args, "2"])
+    assert answered.exit_code == 0
+    assert _payload(answered)["result"]["moments"] == [
+        ["1", "0", "0"], ["1/2", "0", "0"], ["1/3", "0", "0"]
+    ]
+    short = runner.invoke(main, [*args, "3"])
+    assert short.exit_code == 1
+    assert short.stdout == ""
+    assert short.stderr == "error: moment table holds indices 0..2\n"
+
+
 def test_pushforward_and_marginal(runner, files):
     pushed = runner.invoke(
         main,
@@ -578,8 +622,6 @@ def test_embed_flags_and_spec_build_the_same_grid(runner, files, tmp_path, flags
 
 # q = x(x - 9/10)(x - 1) is negative on (9/10, 1), next to its root at 1
 NEGATIVE_NEAR_ONE = ["0", "9/10", "-19/10", "1"]
-# Lebesgue measure's moments 1/(n + 1), as a table supported in [0, 1]
-LEBESGUE_TABLE = {"kind": "prefix_table", "moments": [f"1/{n + 1}" for n in range(16)]}
 
 
 @pytest.mark.parametrize(
@@ -644,16 +686,25 @@ def test_pushforward_rejects_polynomials_negative_on_the_support(
 
 
 @pytest.mark.parametrize(
-    "command, shift",
-    [("spherical-check", "sie"), ("spherical-check", "grid"), ("moments2", "grid")],
+    "command, shift, window",
+    [
+        ("spherical-check", "sie", "-1"),
+        ("spherical-check", "grid", "-1"),
+        ("moments2", "grid", "-1"),
+        # a named shift is built at the window, so the window is checked first
+        ("moments2", "sie", "-1"),
+        ("spherical-check", "sie", "-2"),
+    ],
+    ids=["spherical-check-sie", "spherical-check-grid", "moments2-grid", "moments2-sie",
+         "spherical-check-sie-window-2"],
 )
-def test_negative_moment_window_is_an_error(runner, files, tmp_path, command, shift):
+def test_negative_moment_window_is_an_error(runner, files, tmp_path, command, shift, window):
     path = files.get(shift)
     if shift == "grid":
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"alpha_sq": [["1", "1"], ["1", "1"]],
                                     "beta_sq": [["1", "1"], ["1", "1"]]}))
-    result = runner.invoke(main, [command, "--shift", str(path), "--window", "-1"])
+    result = runner.invoke(main, [command, "--shift", str(path), "--window", window])
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == "error: window must be >= 0\n"

@@ -189,14 +189,3 @@ def test_embedding_spec_descriptors():
         }
     )
     assert from_measure_route.build(3).alpha_sq(2, 2) == F(1, 2)
-
-
-def test_embedding_spec_validation():
-    from shiftlab.embed import EmbeddingSpec
-
-    with pytest.raises(ValueError):
-        EmbeddingSpec("poly", None)
-    with pytest.raises(ValueError):
-        EmbeddingSpec("spherical", None)
-    with pytest.raises(ValueError):
-        EmbeddingSpec("mystery", None)

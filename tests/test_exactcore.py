@@ -15,7 +15,6 @@ from shiftlab.exactcore import (
     as_rational,
     format_rational,
     isolate_real_roots,
-    poly_eval,
     poly_gcd,
     poly_nonneg_on,
     psd_test,
@@ -225,9 +224,9 @@ def test_solve_linear_singular_returns_none():
 
 
 def test_poly_eval_examples():
-    assert poly_eval(P(1, -1), 1) == 0
-    assert poly_eval(P(0, 0, 1), F(1, 2)) == F(1, 4)
-    assert poly_eval(P(0, 1, -1), F(1, 3)) == F(2, 9)
+    assert P(1, -1)(1) == 0
+    assert P(0, 0, 1)(F(1, 2)) == F(1, 4)
+    assert P(0, 1, -1)(F(1, 3)) == F(2, 9)
 
 
 def test_poly_arithmetic():

@@ -226,7 +226,7 @@ def test_pushforward_matches_fraction_expansion(kind, seed):
         assert outcome(oracle.moment, k1, k2) == outcome(
             reference_moment, base, p, q, k1, k2
         ), (k1, k2)
-    # a second read of every cell returns the memoized value or raises again
+    # a second read of every cell returns the same value or raises again
     for k1, k2 in reversed(cells):
         assert outcome(oracle.moment, k1, k2) == outcome(
             reference_moment, base, p, q, k1, k2
