@@ -8,9 +8,11 @@ which is exactly what ``str(Fraction)`` produces.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -507,47 +509,100 @@ def _ldl_is_psd(a) -> bool:
     return True
 
 
-def _certificate(a, num: int, den: int, is_psd) -> tuple:
-    """e_0..e_n of the integer matrix ``a`` times num/den, by Faddeev-LeVerrier.
+def _char_coefficients(a) -> tuple:
+    """c_0..c_n of the integer matrix ``a`` by Faddeev-LeVerrier: its
+    characteristic polynomial is sum c_i x^(n-i).
 
     M_k = A M_{k-1} + c_{k-1} I and c_k = -trace(A M_k) / k over the
     integers; the trace is read off as sum a_ij (M_k)_ji without forming
-    A M_k. Scaling by s > 0 multiplies e_i by s^i, so the signs are those
-    of A's, and they must agree with the LDL^T verdict ``is_psd``.
+    A M_k.
     """
     n = len(a)
     cols = [[0] * n for _ in range(n)]  # columns of M_{k-1}
     cs = [1]
     for k in range(1, n + 1):
-        mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        mk = [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
         for i in range(n):
             mk[i][i] += cs[-1]
         cols = list(zip(*mk))
-        trace = sum(x * y for row, col in zip(a, cols) for x, y in zip(row, col))
+        trace = sum(map(operator.mul, itertools.chain.from_iterable(a),
+                        itertools.chain.from_iterable(cols)))
         assert trace % k == 0, "Faddeev-LeVerrier trace must divide exactly"
         cs.append(-(trace // k))
-    certificate = tuple(Fraction((-1) ** i * cs[i] * num**i, den**i) for i in range(n + 1))
+    return tuple(cs)
+
+
+def _certificate(a, num: int, den: int, is_psd, cs=None) -> tuple:
+    """e_0..e_n of the integer matrix ``a`` times num/den, from its
+    Faddeev-LeVerrier integers ``cs`` (computed here when not given).
+
+    e_i = (-1)^i c_i for ``a``; scaling by s > 0 multiplies e_i by s^i, so
+    the signs are those of A's, and they must agree with the LDL^T verdict
+    ``is_psd``.
+    """
+    if cs is None:
+        cs = _char_coefficients(a)
+    certificate = tuple(Fraction((-1) ** i * c * num**i, den**i) for i, c in enumerate(cs))
     agrees = is_psd == all(e >= 0 for e in certificate)
     assert agrees, "LDL^T and Faddeev-LeVerrier disagree"
     return certificate
+
+
+# The verdict memo of the innermost ``psd_memo_scope``: primitive integer rows
+# to True (PSD) or their Faddeev-LeVerrier c_i (not PSD); None outside a scope.
+_PSD_MEMO = contextvars.ContextVar("psd_memo", default=None)
+
+
+def psd_memo_scope(query):
+    """Decorate a query so that ``psd_test`` decides each distinct primitive
+    matrix once while it runs.
+
+    The outermost scoped call opens a memo and drops it when it returns or
+    raises; a scoped call inside it shares that memo. So the memo holds at
+    most one entry per PSD test the query makes, and nothing outlives it.
+    """
+
+    @functools.wraps(query)
+    def scoped(*args, **kwargs):
+        if _PSD_MEMO.get() is not None:
+            return query(*args, **kwargs)
+        token = _PSD_MEMO.set({})
+        try:
+            return query(*args, **kwargs)
+        finally:
+            _PSD_MEMO.reset(token)
+
+    return scoped
 
 
 def psd_test(matrix: SymMatrix) -> PsdVerdict:
     """Decide PSD-ness exactly by fraction-free LDL^T.
 
     The matrix's integer rows over its denominator (``SymMatrix.scaled``)
-    are divided by their gcd g and decided by ``_ldl_is_psd``. A failing
-    verdict carries its Faddeev-LeVerrier certificate at once, and
+    are divided by the gcd g of their distinct entries, one division per
+    distinct entry; those primitive rows decide the verdict. Positive
+    multiples share primitive rows, so inside a ``psd_memo_scope`` each
+    distinct primitive matrix is eliminated once and its verdict (with the
+    Faddeev-LeVerrier integers of a failure) is reused. A failing verdict
+    carries its certificate, scaled by (g/den)^i, at once, and
     ``first_failure`` is read off it; a PSD verdict builds the certificate
     on its first read.
     """
     rows, den = matrix.scaled
-    g = math.gcd(*itertools.chain.from_iterable(rows))
+    distinct = set(itertools.chain.from_iterable(rows))
+    g = math.gcd(*distinct)
     if g > 1:
-        rows = [[v // g for v in row] for row in rows]
-    if _ldl_is_psd([list(row) for row in rows]):
+        primitive = {v: v // g for v in distinct}
+        rows = tuple(tuple(map(primitive.__getitem__, row)) for row in rows)
+    memo = _PSD_MEMO.get()
+    decided = None if memo is None else memo.get(rows)
+    if decided is None:
+        decided = _ldl_is_psd([list(row) for row in rows]) or _char_coefficients(rows)
+        if memo is not None:
+            memo[rows] = decided
+    if decided is True:
         return PsdVerdict(True, functools.partial(_certificate, rows, g, den, True), None)
-    certificate = _certificate(rows, g, den, False)
+    certificate = _certificate(rows, g, den, False, decided)
     first_failure = next(i for i, e in enumerate(certificate) if e < 0)
     return PsdVerdict(False, certificate, first_failure)
 

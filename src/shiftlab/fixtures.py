@@ -22,7 +22,7 @@ from .embed import (
     spherical_embed_iterative,
     spherical_embed_measure,
 )
-from .exactcore import RationalPolynomial, SymMatrix, psd_test, psd_test_minors
+from .exactcore import RationalPolynomial, SymMatrix, psd_memo_scope, psd_test, psd_test_minors
 from .families import bergman_rank_one, flat_head_bergman
 from .measures import (
     ArclengthSegment01,
@@ -424,6 +424,7 @@ def random_suites(seed=0) -> list:
     ]
 
 
+@psd_memo_scope
 def run_all(seed=0, include_random=True) -> list:
     results = example_fixtures()
     if include_random:

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Union
 
 from .errors import CommutativityViolation, WindowTooSmall
@@ -28,6 +28,7 @@ from .exactcore import (
     homogeneous_horner,
     integer_scaled,
     numerator_denominator,
+    psd_memo_scope,
     psd_test,
     scale_rows,
 )
@@ -421,10 +422,34 @@ def _khypo_index_set(k: int) -> list:
             for m in (total - n,)]
 
 
+@cache
+def _row_getters(k: int) -> tuple:
+    """One getter per row of an order-(k+1)(k+2)/2 moment matrix.
+
+    A matrix at u reads only the cells gamma(u + d), |d| <= 2k, taken as the
+    row slices d1 = 0..2k of length 2k + 1 - d1 laid end to end; row a's
+    getter picks entry b = the cell d = a + b from them, as a tuple.
+    """
+    start = list(itertools.accumulate(range(2 * k + 1, 0, -1), initial=0))
+    idx = _khypo_index_set(k)
+    getters = []
+    for n, m in idx:
+        cells = [start[n + p] + m + q for p, q in idx]
+        if len(cells) == 1:  # itemgetter of one index returns the bare entry
+            getters.append(lambda flat, i=cells[0]: (flat[i],))
+        else:
+            getters.append(operator.itemgetter(*cells))
+    return tuple(getters)
+
+
 def moment_matrix(table: Moment2Table, u, k: int) -> SymMatrix:
     """Moment matrix at base point u: entry gamma_(u + a + b) over all index
     pairs a, b with |a|, |b| <= k. Order (k+1)(k+2)/2. The table must reach
-    u + 2k in both coordinates; the matrix keeps the table's integers."""
+    u + 2k in both coordinates; the matrix keeps the table's integers.
+
+    Each of the (2k+1)(2k+2)/2 distinct cells gamma(u + d), |d| <= 2k, is
+    read once, from row slices of ``table.scaled``, and the rows are picked
+    from them by per-k cached getters."""
     u1, u2 = u
     if u1 < 0 or u2 < 0:
         raise ValueError(f"base point coordinates must be >= 0, got ({u1},{u2})")
@@ -433,12 +458,12 @@ def moment_matrix(table: Moment2Table, u, k: int) -> SymMatrix:
         raise WindowTooSmall(
             f"moment window {table.window} is below the {reach} a k={k} matrix at ({u1},{u2}) reads"
         )
-    idx = _khypo_index_set(k)
     ints, den = table.scaled
-    rows = tuple(
-        tuple(ints[u1 + n + p][u2 + m + q] for (p, q) in idx) for (n, m) in idx
-    )
-    return SymMatrix.from_integers(rows, den)
+    top = u2 + 2 * k + 1
+    flat = list(itertools.chain.from_iterable(
+        ints[u1 + d][u2:top - d] for d in range(2 * k + 1)
+    ))
+    return SymMatrix.from_integers(tuple(get(flat) for get in _row_getters(k)), den)
 
 
 @dataclass(frozen=True)
@@ -484,6 +509,7 @@ def _sweep_table(target: Union[Shift2D, Moment2Table], reach: int, sweep: str) -
     return table
 
 
+@psd_memo_scope
 def k_hyponormal_2v(
     target: Union[Shift2D, Moment2Table], k: int, window: int = DEFAULT_WINDOW_2D
 ) -> Hyponormality2VVerdict:
@@ -511,6 +537,7 @@ def _khypo_table(target: Union[Shift2D, Moment2Table], k: int, window: int) -> M
     return _sweep_table(target, window + 2 * k, f"a k={k} sweep over window {window}")
 
 
+@psd_memo_scope
 def k_hyponormal_diagonal(build, k: int, window: int, power=None, restriction=None) -> bool:
     """Whether ``k_hyponormal_2v`` holds on every ``sweep_targets`` view of a
     diagonal table, gamma(a, b) = gamma1(a + b), as ``classical_moments`` is.

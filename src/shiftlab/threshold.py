@@ -17,7 +17,7 @@ from typing import Optional
 from .descriptors import _rational, shift1d_from_descriptor
 from .embed import classical_moments
 from .errors import DescriptorError, NotMonotone
-from .exactcore import format_rational
+from .exactcore import format_rational, psd_memo_scope
 from .shift1d import DEFAULT_WINDOW_1D, k_hyponormal
 from .shift2d import DEFAULT_WINDOW_2D, k_hyponormal_diagonal, six_point, sweep_targets
 
@@ -109,6 +109,7 @@ def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:
     return all(six_point(t, window).holds for t in targets)
 
 
+@psd_memo_scope
 def bisect_threshold(query: ThresholdQuery) -> ThresholdResult:
     """Bisect the monotone predicate to width 1/precision, then test the
     candidate exactly (true at the candidate, false at candidate + 1/1000).

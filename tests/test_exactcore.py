@@ -1,12 +1,17 @@
 import dataclasses
+import math
+import pickle
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import exactcore
 from shiftlab.cli import _jsonify
+from shiftlab.embed import classical_moments
 from shiftlab.errors import DuplicateNode
 from shiftlab.exactcore import (
     RationalPolynomial,
@@ -14,9 +19,11 @@ from shiftlab.exactcore import (
     _det_rows,
     as_rational,
     format_rational,
+    homogeneous_horner,
     isolate_real_roots,
     poly_gcd,
     poly_nonneg_on,
+    psd_memo_scope,
     psd_test,
     psd_test_minors,
     rational_roots,
@@ -24,6 +31,10 @@ from shiftlab.exactcore import (
     square_free_part,
     vandermonde_solve,
 )
+from shiftlab.fixtures import run_all
+from shiftlab.shift1d import bergman, k_hyponormal
+from shiftlab.shift2d import Moment2Table, k_hyponormal_2v, k_hyponormal_diagonal
+from shiftlab.threshold import ThresholdQuery, bisect_threshold
 
 P = RationalPolynomial.of
 
@@ -460,3 +471,150 @@ def test_psd_verdict_reads_the_same_before_and_after_certificate():
         "certificate": ["1", "19/4", "5", "1/4"],
         "first_failure": None,
     }
+
+
+# -- The per-query verdict memo ----------------------------------------------
+
+MEMO_MATRICES = {
+    "passing": ((2, 1, 0), (1, 2, 1), (0, 1, F(3, 4))),
+    "failing": ((2, 1, 3), (1, 2, 1), (3, 1, F(3, 4))),
+}
+
+
+def _scaled(rows, s):
+    return SymMatrix(tuple(tuple(s * v for v in row) for row in rows))
+
+
+def _primitive_scale(matrix):
+    rows, den = matrix.scaled
+    return math.gcd(*(v for row in rows for v in row)), den
+
+
+@pytest.mark.parametrize("name", list(MEMO_MATRICES))
+def test_memo_hit_gives_each_multiple_its_own_certificate(monkeypatch, name):
+    multiples = [_scaled(MEMO_MATRICES[name], s) for s in (F(6), F(5, 14))]
+    # one primitive matrix, reached with a different gcd and denominator
+    assert _primitive_scale(multiples[0]) != _primitive_scale(multiples[1])
+    fresh = [psd_test(m) for m in multiples]  # outside any scope: no memo
+    eliminated = []
+    real = exactcore._ldl_is_psd
+    monkeypatch.setattr(exactcore, "_ldl_is_psd", lambda a: eliminated.append(a) or real(a))
+    hits = psd_memo_scope(lambda: [psd_test(m) for m in multiples])()
+    assert len(eliminated) == 1
+    for hit, miss, matrix in zip(hits, fresh, multiples):
+        assert hit.is_psd == miss.is_psd == (name == "passing")
+        assert hit.first_failure == miss.first_failure
+        # a PSD verdict still defers its certificate, hit or miss, and pickles
+        assert callable(vars(hit)["_certificate"]) == hit.is_psd
+        assert pickle.loads(pickle.dumps(hit)) == hit
+        assert hit.certificate == miss.certificate == _minor_sums(matrix)
+    assert hits[0].certificate != hits[1].certificate
+
+
+def _bergman_diagonal(window):
+    """gamma(a, b) = 1/(a + b + 1) through ``window``: every k-sweep holds, and
+    matrices at base points with distinct u1 + u2 are not proportional."""
+    return Moment2Table.diagonal([F(n + 1, n + 2) for n in range(2 * window + 1)])
+
+
+def test_memo_dies_with_the_outermost_query(monkeypatch):
+    k, window = 2, 5
+    table = _bergman_diagonal(window + 2 * k)
+    eliminated = []
+    real = exactcore._ldl_is_psd
+    monkeypatch.setattr(exactcore, "_ldl_is_psd", lambda a: eliminated.append(a) or real(a))
+    # each sweep eliminates once per distinct offset u1 + u2, and no more
+    for calls in (1, 2):
+        assert k_hyponormal_2v(table, k, window).holds
+        assert len(eliminated) == calls * (window + 1)
+    eliminated.clear()
+
+    @psd_memo_scope
+    def outer():
+        first = k_hyponormal_2v(table, k, window).holds
+        assert len(eliminated) == window + 1
+        return first, k_hyponormal_2v(table, k, window).holds
+
+    assert outer() == (True, True)
+    assert len(eliminated) == window + 1
+
+
+RANK_ONE_FAMILY = {
+    "prefix_sq": ["x"],
+    "tail": {"kind": "rational_fn", "num": [1, 1], "den": [2, 1], "start": 1},
+    "norm_bound_sq": "2",
+}
+
+
+def _threshold_query(**fields):
+    fields = dict(dict(lo=F(1, 2), hi=F(4, 5), op="khypo2", window=3, precision=16), **fields)
+    return ThresholdQuery(RANK_ONE_FAMILY, "x", **fields)
+
+
+ENTRY_POINTS = {
+    "k_hyponormal": lambda: k_hyponormal(bergman(), 2, 4),
+    "k_hyponormal_2v": lambda: k_hyponormal_2v(_bergman_diagonal(6), 2, 2),
+    "k_hyponormal_diagonal": lambda: k_hyponormal_diagonal(
+        partial(classical_moments, bergman()), 1, 3, power=(2, 2)
+    ),
+    "bisect_threshold": lambda: bisect_threshold(_threshold_query()),
+    "run_all": lambda: run_all(0, include_random=False),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_no_memo_outlives_an_entry_point(monkeypatch, name):
+    assert exactcore._PSD_MEMO.get() is None
+    active = []
+    real = exactcore._ldl_is_psd
+
+    def spy(a):
+        active.append(exactcore._PSD_MEMO.get() is not None)
+        return real(a)
+
+    monkeypatch.setattr(exactcore, "_ldl_is_psd", spy)
+    ENTRY_POINTS[name]()
+    assert active and all(active)
+    assert exactcore._PSD_MEMO.get() is None
+
+    def broken(a):
+        raise RuntimeError("elimination failed")
+
+    monkeypatch.setattr(exactcore, "_ldl_is_psd", broken)
+    with pytest.raises(RuntimeError, match="elimination failed"):
+        ENTRY_POINTS[name]()
+    assert exactcore._PSD_MEMO.get() is None
+
+
+def test_no_memo_outlives_an_entry_point_that_rejects_its_arguments():
+    for call in (
+        lambda: k_hyponormal_2v(_bergman_diagonal(4), 0, 2),
+        lambda: bisect_threshold(_threshold_query(lo=F(4, 5), hi=F(1, 2))),
+    ):
+        with pytest.raises(ValueError):
+            call()
+        assert exactcore._PSD_MEMO.get() is None
+
+
+def test_psd_test_minors_reads_no_memo(monkeypatch):
+    monkeypatch.setattr(exactcore, "_PSD_MEMO", None)  # any read would raise
+    assert psd_test_minors(SymMatrix(MEMO_MATRICES["passing"]))
+    assert not psd_test_minors(SymMatrix(MEMO_MATRICES["failing"]))
+
+
+# -- Homogeneous Horner ------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_homogeneous_horner_is_den_power_times_the_value(seed):
+    rng = random.Random(seed)
+    cases = [((-3, 0, 2), -5, 7), ((4, -1), 3, 2), ((-2,), -9, 4), ((), 5, 3)]
+    for _ in range(40):
+        coeffs = tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 6)))
+        cases.append((coeffs, rng.choice((-1, 1)) * rng.randint(0, 30), rng.randint(1, 12)))
+    for coeffs, num, den in cases:
+        value = sum(F(c) * F(num, den) ** i for i, c in enumerate(coeffs))
+        expected = den ** len(coeffs) * value
+        assert expected.denominator == 1
+        assert homogeneous_horner(coeffs, num, den) == expected, (coeffs, num, den)
+    assert homogeneous_horner((1, -2), -3, 1) == 7

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from shiftlab import shift2d
 from shiftlab.descriptors import shift2d_from_descriptor
 from shiftlab.errors import CommutativityViolation, WindowTooSmall
 from shiftlab.families import bergman_rank_one, flat_head_bergman
@@ -20,6 +21,7 @@ from shiftlab.shift2d import (
     corner_restrict,
     grid_reach,
     helton_howe,
+    k_hyponormal_diagonal,
     k_hyponormal_2v,
     moment_matrix,
     moments,
@@ -698,6 +700,67 @@ def test_moment_matrix_names_the_window_a_short_table_lacks(build):
         message = rf"^moment window 5 is below the {reach} a k={k} matrix at \({u[0]},{u[1]}\) reads$"
         with pytest.raises(WindowTooSmall, match=message):
             moment_matrix(table, u, k)
+
+
+def _nested_moment_matrix(table, u, k):
+    """gamma(u + a + b) over |a|, |b| <= k, read cell by cell, in the
+    documented index order: |a| ascending, then a1 descending."""
+    idx = [(total - j, j) for total in range(k + 1) for j in range(total + 1)]
+    ints, den = table.scaled
+    rows = tuple(
+        tuple(ints[u[0] + a1 + b1][u[1] + a2 + b2] for b1, b2 in idx) for a1, a2 in idx
+    )
+    return rows, den
+
+
+def _random_tables(rng):
+    # window 20 and 19: every stride-2 view still reaches the k = 4 matrices
+    weights = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2 * 20 + 1)]
+    walked = moments(sie_bergman(20), 19)
+    diagonal = Moment2Table.diagonal(weights)
+    m, n = rng.randint(1, 2), rng.randint(1, 2)
+    strided = rng.choice((walked, diagonal)).sublattice(m, n, rng.randint(0, 1), rng.randint(0, 1))
+    return {"sie_bergman": walked, "diagonal": diagonal, "strided": strided}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_moment_matrix_gathers_the_nested_index_formula(seed):
+    rng = random.Random(seed)
+    for name, table in _random_tables(rng).items():
+        for k in range(5):
+            for _ in range(4):
+                u = (rng.randint(0, table.window - 2 * k), rng.randint(0, table.window - 2 * k))
+                matrix = moment_matrix(table, u, k)
+                assert matrix.order == (k + 1) * (k + 2) // 2
+                assert matrix.scaled == _nested_moment_matrix(table, u, k), (name, u, k)
+    one = moment_matrix(moments(sie_bergman(6), 5), (1, 1), 0)  # the 1 x 1 case
+    assert one.scaled == (((1037836800,),), 6227020800) and one.entries == ((F(1, 6),),)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("power", [(2, 2), (3, 3)])
+def test_k_hyponormal_diagonal_tests_one_matrix_per_offset(monkeypatch, power, k):
+    # a classical table's view (m, n, p, q) has, at u, a positive multiple of
+    # the one matrix of offset c = p + q + m*u1 + n*u2: the sweep tests each c
+    # once, at its first view and base point in k_hyponormal_2v's order
+    window = 4
+    build = partial(classical_moments, bergman())
+    m, n = power
+    views = sweep_targets(build, k, window, power=power)
+    expected, offsets = [], set()
+    for view, (p, q) in zip(views, [(p, q) for p in range(m) for q in range(n)]):
+        for total in range(window + 1):
+            for u1 in range(total + 1):
+                c = p + q + m * u1 + n * (total - u1)
+                if c not in offsets:
+                    offsets.add(c)
+                    expected.append(moment_matrix(view, (u1, total - u1), k).scaled)
+    tested = []
+    real = shift2d.psd_test
+    monkeypatch.setattr(shift2d, "psd_test", lambda matrix: tested.append(matrix.scaled) or real(matrix))
+    assert k_hyponormal_diagonal(build, k, window, power=power)
+    assert len(tested) == len(offsets)
+    assert tested == expected
 
 
 # -- rows, columns, spherical structure --------------------------------------------
