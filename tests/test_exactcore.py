@@ -546,18 +546,15 @@ RANK_ONE_FAMILY = {
 }
 
 
-def _threshold_query(**fields):
-    fields = dict(dict(lo=F(1, 2), hi=F(4, 5), op="khypo2", window=3, precision=16), **fields)
-    return ThresholdQuery(RANK_ONE_FAMILY, "x", **fields)
-
-
 ENTRY_POINTS = {
     "k_hyponormal": lambda: k_hyponormal(bergman(), 2, 4),
     "k_hyponormal_2v": lambda: k_hyponormal_2v(_bergman_diagonal(6), 2, 2),
     "k_hyponormal_diagonal": lambda: k_hyponormal_diagonal(
         partial(classical_moments, bergman()), 1, 3, power=(2, 2)
     ),
-    "bisect_threshold": lambda: bisect_threshold(_threshold_query()),
+    "bisect_threshold": lambda: bisect_threshold(
+        ThresholdQuery(RANK_ONE_FAMILY, "x", F(1, 2), F(4, 5), "khypo2", window=3, precision=16)
+    ),
     "run_all": lambda: run_all(0, include_random=False),
 }
 
@@ -584,16 +581,6 @@ def test_no_memo_outlives_an_entry_point(monkeypatch, name):
     with pytest.raises(RuntimeError, match="elimination failed"):
         ENTRY_POINTS[name]()
     assert exactcore._PSD_MEMO.get() is None
-
-
-def test_no_memo_outlives_an_entry_point_that_rejects_its_arguments():
-    for call in (
-        lambda: k_hyponormal_2v(_bergman_diagonal(4), 0, 2),
-        lambda: bisect_threshold(_threshold_query(lo=F(4, 5), hi=F(1, 2))),
-    ):
-        with pytest.raises(ValueError):
-            call()
-        assert exactcore._PSD_MEMO.get() is None
 
 
 def test_psd_test_minors_reads_no_memo(monkeypatch):
