@@ -548,8 +548,9 @@ def _certificate(a, num: int, den: int, is_psd, cs=None) -> tuple:
     return certificate
 
 
-# The verdict memo of the innermost ``psd_memo_scope``: primitive integer rows
-# to True (PSD) or their Faddeev-LeVerrier c_i (not PSD); None outside a scope.
+# The verdict memo of the outermost running ``psd_memo_scope``: primitive
+# integer rows to True (PSD) or their Faddeev-LeVerrier c_i (not PSD); None
+# outside a scope.
 _PSD_MEMO = contextvars.ContextVar("psd_memo", default=None)
 
 
@@ -560,6 +561,8 @@ def psd_memo_scope(query):
     The outermost scoped call opens a memo and drops it when it returns or
     raises; a scoped call inside it shares that memo. So the memo holds at
     most one entry per PSD test the query makes, and nothing outlives it.
+    Only queries whose matrices repeat are scoped (``run_all``,
+    ``bisect_threshold``); a bare sweep hashes no keys.
     """
 
     @functools.wraps(query)

@@ -22,7 +22,6 @@ from .exactcore import (
     integer_scaled,
     isolate_real_roots,
     numerator_denominator,
-    psd_memo_scope,
     psd_test,
     rational_roots,
     solve_linear,
@@ -209,7 +208,6 @@ def hankel_matrix(moments: Sequence, order: int, base: int = 0, *, den: int) -> 
     )
 
 
-@psd_memo_scope
 def k_hyponormal(
     shift: Shift1D, k: int, window: int = DEFAULT_WINDOW_1D
 ) -> HyponormalityVerdict:

@@ -28,7 +28,6 @@ from .exactcore import (
     homogeneous_horner,
     integer_scaled,
     numerator_denominator,
-    psd_memo_scope,
     psd_test,
     scale_rows,
 )
@@ -509,7 +508,6 @@ def _sweep_table(target: Union[Shift2D, Moment2Table], reach: int, sweep: str) -
     return table
 
 
-@psd_memo_scope
 def k_hyponormal_2v(
     target: Union[Shift2D, Moment2Table], k: int, window: int = DEFAULT_WINDOW_2D
 ) -> Hyponormality2VVerdict:
@@ -537,7 +535,6 @@ def _khypo_table(target: Union[Shift2D, Moment2Table], k: int, window: int) -> M
     return _sweep_table(target, window + 2 * k, f"a k={k} sweep over window {window}")
 
 
-@psd_memo_scope
 def k_hyponormal_diagonal(build, k: int, window: int, power=None, restriction=None) -> bool:
     """Whether ``k_hyponormal_2v`` holds on every ``sweep_targets`` view of a
     diagonal table, gamma(a, b) = gamma1(a + b), as ``classical_moments`` is.

@@ -520,12 +520,17 @@ def _bergman_diagonal(window):
 def test_memo_dies_with_the_outermost_query(monkeypatch):
     k, window = 2, 5
     table = _bergman_diagonal(window + 2 * k)
+    base_points = (window + 1) * (window + 2) // 2
     eliminated = []
     real = exactcore._ldl_is_psd
     monkeypatch.setattr(exactcore, "_ldl_is_psd", lambda a: eliminated.append(a) or real(a))
-    # each sweep eliminates once per distinct offset u1 + u2, and no more
+    # a bare sweep opens no memo: one elimination per base point
+    assert k_hyponormal_2v(table, k, window).holds
+    assert len(eliminated) == base_points
+    eliminated.clear()
+    # each scoped sweep eliminates once per distinct offset u1 + u2, and no more
     for calls in (1, 2):
-        assert k_hyponormal_2v(table, k, window).holds
+        assert psd_memo_scope(k_hyponormal_2v)(table, k, window).holds
         assert len(eliminated) == calls * (window + 1)
     eliminated.clear()
 
@@ -547,11 +552,6 @@ RANK_ONE_FAMILY = {
 
 
 ENTRY_POINTS = {
-    "k_hyponormal": lambda: k_hyponormal(bergman(), 2, 4),
-    "k_hyponormal_2v": lambda: k_hyponormal_2v(_bergman_diagonal(6), 2, 2),
-    "k_hyponormal_diagonal": lambda: k_hyponormal_diagonal(
-        partial(classical_moments, bergman()), 1, 3, power=(2, 2)
-    ),
     "bisect_threshold": lambda: bisect_threshold(
         ThresholdQuery(RANK_ONE_FAMILY, "x", F(1, 2), F(4, 5), "khypo2", window=3, precision=16)
     ),
@@ -581,6 +581,31 @@ def test_no_memo_outlives_an_entry_point(monkeypatch, name):
     with pytest.raises(RuntimeError, match="elimination failed"):
         ENTRY_POINTS[name]()
     assert exactcore._PSD_MEMO.get() is None
+
+
+BARE_SWEEPS = {
+    "k_hyponormal": lambda: k_hyponormal(bergman(), 2, 4),
+    "k_hyponormal_2v": lambda: k_hyponormal_2v(_bergman_diagonal(6), 2, 2),
+    "k_hyponormal_diagonal": lambda: k_hyponormal_diagonal(
+        partial(classical_moments, bergman()), 1, 3, power=(2, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BARE_SWEEPS))
+def test_a_bare_sweep_opens_no_memo(monkeypatch, name):
+    """Sweeps called on their own (the CLI ``khypo``/``khypo2`` commands)
+    rarely repeat a matrix, so they hash no keys."""
+    active = []
+    real = exactcore._ldl_is_psd
+
+    def spy(a):
+        active.append(exactcore._PSD_MEMO.get() is not None)
+        return real(a)
+
+    monkeypatch.setattr(exactcore, "_ldl_is_psd", spy)
+    BARE_SWEEPS[name]()
+    assert active and not any(active)
 
 
 def test_psd_test_minors_reads_no_memo(monkeypatch):
