@@ -57,7 +57,6 @@ from .shift1d import (
     from_measure,
     k_hyponormal,
     power_decompose,
-    support_power_map_check,
     unweighted,
 )
 from .shift2d import (
@@ -84,7 +83,6 @@ from .embed import (
     classical_moments,
     poly_embed,
     recover_densities,
-    row_measure_transform_check,
     spherical_embed_iterative,
     spherical_embed_measure,
 )

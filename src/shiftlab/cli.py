@@ -56,6 +56,9 @@ from .threshold import bisect_threshold, query_from_descriptor
 
 DENOM_BITS_ENV = "SHIFTLAB_MAX_DENOM_BITS"
 
+#: Deepest nesting of JSON objects and arrays a descriptor file may use.
+MAX_NESTING = 32
+
 #: Failures a command reports as an ``error:`` line with exit code 1.
 REPORTED_ERRORS = (ShiftLabError, ValueError, ZeroDivisionError, IndexError)
 
@@ -122,20 +125,35 @@ def _reject_float(text: str):
     raise DescriptorError(f"floats are not accepted, got {text}")
 
 
+def _nesting(value) -> int:
+    """How deeply JSON containers nest in ``value``, the outermost counting 1,
+    taken level by level so that no depth can exhaust the Python stack."""
+    depth, level = 0, [value]
+    while level := [v for v in level if isinstance(v, (dict, list))]:
+        depth += 1
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return depth
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_float=_reject_float)
+            data = json.load(handle, parse_float=_reject_float)
+        if _nesting(data) <= MAX_NESTING:
+            return data
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON in {path}: line {exc.lineno}, col {exc.colno}")
     except OSError as exc:
         raise DescriptorError(f"cannot read {path}: {exc}")
+    except RecursionError:
+        pass  # the parser ran out of stack, far deeper than MAX_NESTING
+    raise DescriptorError(f"{path} nests deeper than {MAX_NESTING} levels")
 
 
 def _coeffs(text: str, name: str) -> RationalPolynomial:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         data = None
     if not isinstance(data, list):
         data = [piece.strip() for piece in text.split(",")]

@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import NonpositiveDensity, ZeroMoment
 from .exactcore import RationalPolynomial, as_rational, vandermonde_solve
-from .measures import AtomicMeasure1D, AtomicMeasure2D, pushforward_moments
-from .shift1d import Shift1D, from_measure
+from .measures import AtomicMeasure2D, pushforward_moments
+from .shift1d import Shift1D
 from .shift2d import Moment2Table, Shift2D, moments, spherical_check
 
 STALL_BETA_NONPOSITIVE = "beta_nonpositive"
@@ -185,35 +185,3 @@ def recover_densities(shift: Shift2D, atoms: Sequence) -> AtomicMeasure2D:
     return AtomicMeasure2D.from_pairs(
         ((a, c - a), d) for a, d in zip(atoms, densities)
     )
-
-
-def row_measure_transform_check(sigma: AtomicMeasure1D, c=1) -> bool:
-    """Verify the row-1 measure identity of the constant-sum construction.
-
-    For a measure supported in [0, 1) with c = 1, row 1 of the construction
-    must have moments (gamma_k - gamma_{k+1}) / (1 - gamma_1), which equal
-    the moments of (1 - r) d sigma / (1 - gamma_1). Checked exactly for
-    k = 0..10.
-    """
-    if as_rational(c) != 1:
-        raise ValueError("the identity is stated for c = 1")
-    if sigma.support_bound >= 1:
-        raise ValueError("measure must be supported in [0, 1)")
-    gamma1 = sigma.moment(1)
-    if gamma1 == 0:
-        # point mass at 0: both sides are that same point mass
-        return True
-    shift = from_measure(sigma)
-    depth = 12
-    w = shift.weights_sq(depth + 1)
-    row1 = [w[k] * (1 - w[k + 1]) / (1 - w[k]) for k in range(depth)]
-    lhs = Fraction(1)
-    mass = 1 - gamma1
-    for k in range(11):
-        target = sum(
-            d * a**k * (1 - a) for a, d in zip(sigma.atoms, sigma.densities)
-        ) / mass
-        if lhs != target:
-            return False
-        lhs *= row1[k]
-    return True

@@ -341,20 +341,3 @@ def curto_park_measures(sigma: AtomicMeasure1D, m: int) -> list:
         ]
         out.append(AtomicMeasure1D.from_pairs(pairs))
     return out
-
-
-def support_power_map_check(sigma: AtomicMeasure1D, m: int) -> bool:
-    """Verify the supports of the component measures.
-
-    Each nonzero atom r of sigma must appear as r^m in every component's
-    support; the atom 0 survives only in component 0.
-    """
-    measures = curto_park_measures(sigma, m)
-    powered = {a**m for a in sigma.atoms if a != 0}
-    for i, nu in enumerate(measures):
-        expected = set(powered)
-        if i == 0 and Fraction(0) in sigma.atoms:
-            expected.add(Fraction(0))
-        if set(nu.atoms) != expected:
-            return False
-    return True

@@ -379,13 +379,17 @@ class Moment2Table:
 
 
 def moments(shift: Shift2D, window: int) -> Moment2Table:
-    """Moment table, asserting path-independence cell by cell.
+    """Moment table, one product per cell.
 
     A shift built from its moments answers a window below its own with a
-    slice of that table over gamma(0,0). Otherwise any monotone staircase
-    from the origin gives the same product; the fill checks the alpha route
-    against the beta route and raises ``CommutativityViolation`` on the
-    first mismatch.
+    slice of that table over gamma(0,0). Otherwise column 0 is filled along
+    alpha and every other cell along beta. Inside the N x N grid the
+    commuting-pair identity holds (``Shift2D.__init__`` checks it;
+    ``diagonal`` and ``from_moments`` hold it by construction), so both
+    routes to a cell agree there. At a cell with max(i, j) >= N a route reads past the grid,
+    where only the rule answers and nothing has checked it: there the alpha
+    route is multiplied too, its weight read first, and a mismatch raises
+    ``CommutativityViolation`` at (i - 1, j - 1).
     """
     if window < 0:
         raise ValueError("window must be >= 0")
@@ -395,19 +399,19 @@ def moments(shift: Shift2D, window: int) -> Moment2Table:
         return Moment2Table.from_integers(
             window, tuple(row[:size] for row in rows[:size]), rows[0][0]
         )
+    n = shift.window
     table = [[None] * size for _ in range(size)]
     table[0][0] = Fraction(1)
     for i in range(1, size):
         table[i][0] = table[i - 1][0] * shift.alpha_sq(i - 1, 0)
-    for j in range(1, size):
-        table[0][j] = table[0][j - 1] * shift.beta_sq(0, j - 1)
-    for i in range(1, size):
+    for i, row in enumerate(table):
         for j in range(1, size):
-            via_alpha = table[i - 1][j] * shift.alpha_sq(i - 1, j)
-            via_beta = table[i][j - 1] * shift.beta_sq(i, j - 1)
-            if via_alpha != via_beta:
+            compare = i > 0 and max(i, j) >= n
+            if compare:
+                via_alpha = table[i - 1][j] * shift.alpha_sq(i - 1, j)
+            row[j] = row[j - 1] * shift.beta_sq(i, j - 1)
+            if compare and row[j] != via_alpha:
                 raise CommutativityViolation((i - 1, j - 1))
-            table[i][j] = via_alpha
     return Moment2Table(window, tuple(tuple(row) for row in table))
 
 

@@ -535,6 +535,35 @@ def test_schema_error_exit_code(runner, tmp_path):
     assert "invalid JSON" in result.stderr
 
 
+def _nested_bergman(depth):
+    """A bergman descriptor whose ignored key nests objects ``depth`` deep in all."""
+    return '{"kind": "bergman", "note": ' + '{"a": ' * (depth - 1) + "0" + "}" * depth
+
+
+@pytest.mark.parametrize("depth", [32, 33, 700, 3000])
+def test_descriptor_nesting_is_capped_at_32(runner, tmp_path, depth):
+    # 700 used to overflow the report echo and 3000 the JSON parser
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_bergman(depth))
+    result = runner.invoke(main, ["moments1", "--shift", str(path), "--count", "2"])
+    if depth <= 32:
+        assert result.exit_code == 0
+        assert _payload(result)["result"]["moments"] == ["1", "1/2"]
+    else:
+        assert result.exit_code == 1
+        assert result.stderr == f"error: $: {path} nests deeper than 32 levels\n"
+
+
+def test_deeply_nested_coefficient_option_is_an_error(runner, files):
+    p = "[" * 3000 + "]" * 3000
+    result = runner.invoke(
+        main, ["pushforward", "--measure", files["three_atoms"], "--p", p, "--q", "1"]
+    )
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: $: --p must be a rational like 49/90, got '[[[")
+
+
 def test_cli_import_leaves_out_mpmath():
     src = os.path.dirname(os.path.dirname(shiftlab.__file__))
     proc = subprocess.run(

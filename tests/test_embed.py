@@ -11,7 +11,6 @@ from shiftlab.embed import (
     classical_moments,
     poly_embed,
     recover_densities,
-    row_measure_transform_check,
     spherical_embed_iterative,
     spherical_embed_measure,
 )
@@ -23,7 +22,7 @@ from shiftlab.errors import (
     WindowTooSmall,
     ZeroMoment,
 )
-from shiftlab.exactcore import RationalPolynomial
+from shiftlab.exactcore import RationalPolynomial, as_rational
 from shiftlab.families import bergman_rank_one, flat_head_bergman
 from shiftlab.measures import (
     AtomicMeasure1D,
@@ -416,6 +415,38 @@ def test_recover_requires_constant_sum():
 
 
 # -- row-1 measure identity ----------------------------------------------------
+
+
+def row_measure_transform_check(sigma: AtomicMeasure1D, c=1) -> bool:
+    """Verify the row-1 measure identity of the constant-sum construction.
+
+    For a measure supported in [0, 1) with c = 1, row 1 of the construction
+    must have moments (gamma_k - gamma_{k+1}) / (1 - gamma_1), which equal
+    the moments of (1 - r) d sigma / (1 - gamma_1). Checked exactly for
+    k = 0..10.
+    """
+    if as_rational(c) != 1:
+        raise ValueError("the identity is stated for c = 1")
+    if sigma.support_bound >= 1:
+        raise ValueError("measure must be supported in [0, 1)")
+    gamma1 = sigma.moment(1)
+    if gamma1 == 0:
+        # point mass at 0: both sides are that same point mass
+        return True
+    shift = from_measure(sigma)
+    depth = 12
+    w = shift.weights_sq(depth + 1)
+    row1 = [w[k] * (1 - w[k + 1]) / (1 - w[k]) for k in range(depth)]
+    lhs = F(1)
+    mass = 1 - gamma1
+    for k in range(11):
+        target = sum(
+            d * a**k * (1 - a) for a, d in zip(sigma.atoms, sigma.densities)
+        ) / mass
+        if lhs != target:
+            return False
+        lhs *= row1[k]
+    return True
 
 
 def test_row_measure_transform_examples():

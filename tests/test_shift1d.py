@@ -19,7 +19,6 @@ from shiftlab.shift1d import (
     hankel_matrix,
     k_hyponormal,
     power_decompose,
-    support_power_map_check,
     unweighted,
 )
 
@@ -322,6 +321,23 @@ def test_curto_park_matches_power_components():
         for i in range(m):
             for k in range(11):
                 assert comps[i].moment(k) == nus[i].moment(k)
+
+
+def support_power_map_check(sigma: AtomicMeasure1D, m: int) -> bool:
+    """Verify the supports of the component measures.
+
+    Each nonzero atom r of sigma must appear as r^m in every component's
+    support; the atom 0 survives only in component 0.
+    """
+    measures = curto_park_measures(sigma, m)
+    powered = {a**m for a in sigma.atoms if a != 0}
+    for i, nu in enumerate(measures):
+        expected = set(powered)
+        if i == 0 and F(0) in sigma.atoms:
+            expected.add(F(0))
+        if set(nu.atoms) != expected:
+            return False
+    return True
 
 
 def test_support_power_map():

@@ -4,11 +4,11 @@ from functools import partial
 
 import pytest
 
-from shiftlab import shift2d
+from shiftlab import fixtures, shift2d
 from shiftlab.descriptors import shift2d_from_descriptor
 from shiftlab.errors import CommutativityViolation, WindowTooSmall
 from shiftlab.families import bergman_rank_one, flat_head_bergman
-from shiftlab.embed import classical_embed, classical_moments
+from shiftlab.embed import classical_embed, classical_moments, spherical_embed_iterative
 from shiftlab.measures import BetaFamily
 from shiftlab.shift1d import bergman, power_decompose
 from shiftlab.shift2d import (
@@ -139,6 +139,128 @@ def test_moments_reject_a_negative_window(window):
             moments(shift, window)
         assert str(err.value) == "window must be >= 0"
     assert moments(Shift2D([[1]], [[1]]), 0).values == ((1,),)
+
+
+def _two_route_moments(shift, window):
+    """Reference walk: each cell (i, j >= 1) by both routes, compared."""
+    size = window + 1
+    table = [[None] * size for _ in range(size)]
+    table[0][0] = F(1)
+    for i in range(1, size):
+        table[i][0] = table[i - 1][0] * shift.alpha_sq(i - 1, 0)
+    for j in range(1, size):
+        table[0][j] = table[0][j - 1] * shift.beta_sq(0, j - 1)
+    for i in range(1, size):
+        for j in range(1, size):
+            via_alpha = table[i - 1][j] * shift.alpha_sq(i - 1, j)
+            via_beta = table[i][j - 1] * shift.beta_sq(i, j - 1)
+            if via_alpha != via_beta:
+                raise CommutativityViolation((i - 1, j - 1))
+            table[i][j] = via_alpha
+    return Moment2Table(window, tuple(map(tuple, table)))
+
+
+def _walk_outcome(walk, shift, window):
+    """The table's values and integers, or the type and text of the error."""
+    try:
+        table = walk(shift, window)
+    except (CommutativityViolation, WindowTooSmall, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return table.values, table.scaled
+
+
+def _assert_walks_agree(shift, window):
+    new = _walk_outcome(moments, shift, window)
+    assert new == _walk_outcome(_two_route_moments, shift, window), window
+    return new
+
+
+def _rule(alpha_num, alpha_den, beta_num, beta_den):
+    return GeneratorRule(
+        BivariateRational(BivariatePoly(alpha_num), BivariatePoly(alpha_den)),
+        BivariateRational(BivariatePoly(beta_num), BivariatePoly(beta_den)),
+    )
+
+
+def _ones(n):
+    return [[1] * n for _ in range(n)]
+
+
+ONE, K1_PLUS_1, K2_PLUS_1 = ((1,),), ((1,), (1,)), ((1, 1),)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_moments_equal_a_two_route_walk_on_agreement_suite_grids(monkeypatch, seed):
+    calls = []
+
+    def record(shift, window):
+        calls.append((shift, window))
+        return moments(shift, window)
+
+    monkeypatch.setattr(fixtures, "moments", record)
+    fixtures.hyponormality_agreement_suite(seed)
+    assert len(calls) == 20
+    for shift, window in calls:
+        assert (shift.window, window) == (15, 14)
+        _assert_walks_agree(shift, window)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_moments_equal_a_two_route_walk_on_generator_grids(seed):
+    descriptor = random_generator(random.Random(seed))
+    for n in (1, 3, 6):
+        shift = shift2d_from_descriptor(descriptor, window=n)
+        for window in (0, n - 1, n, n + 4):
+            values, _ = _assert_walks_agree(shift, window)
+            assert isinstance(values, tuple)  # the rule commutes: no error
+
+
+def test_moments_equal_a_two_route_walk_past_the_grid():
+    spherical = spherical_embed_iterative(bergman(), 1, 12)
+    values, _ = _assert_walks_agree(spherical, 11)
+    assert values[0][:3] == (1, F(1, 2), F(1, 3))
+    assert _assert_walks_agree(spherical, 12)[0] is WindowTooSmall
+    # commuting rules answer every read past the grid
+    sie = Shift2D.from_rule(sie_bergman(8).rule, 8)
+    values, _ = _assert_walks_agree(sie, 12)
+    assert values[12][12] == F(fact(12) ** 2, fact(25))
+    assert _assert_walks_agree(helton_howe(3), 9)[0][9][9] == 1
+
+
+def test_moments_past_an_explicit_grid_name_the_first_read():
+    shift = Shift2D([[1, 2], [3, 4]], [[1, 5], [2, 6]])
+    assert _assert_walks_agree(shift, 1)[0] == ((1, 1), (1, 2))
+    for window, point in ((2, "(0,2)"), (3, "(2,0)")):
+        error = (WindowTooSmall, f"alpha index {point} outside the 2x2 window")
+        assert _assert_walks_agree(shift, window) == error
+
+
+@pytest.mark.parametrize(
+    "n, rule, window, point",
+    [
+        # row i = N reads beta past the grid before any column j >= N does
+        pytest.param(3, _rule(ONE, ONE, K1_PLUS_1, ONE), 3, (2, 0), id="beta-row-3"),
+        pytest.param(3, _rule(ONE, ONE, K1_PLUS_1, ONE), 4, (0, 3), id="beta-column-3"),
+        pytest.param(3, _rule(K2_PLUS_1, ONE, ONE, ONE), 3, (0, 2), id="alpha-column-3"),
+        pytest.param(2, _rule(ONE, ONE, ONE, K1_PLUS_1), 2, (1, 0), id="beta-row-2"),
+    ],
+)
+def test_moments_check_a_rule_read_past_the_grid(n, rule, window, point):
+    # the all-ones grid commutes, so only the rule can break the identity
+    shift = Shift2D(_ones(n), _ones(n), rule=rule)
+    with pytest.raises(CommutativityViolation) as err:
+        moments(shift, window)
+    assert err.value.point == point
+    assert _assert_walks_agree(shift, window) == (
+        CommutativityViolation, f"commutativity fails at grid point {point}"
+    )
+
+
+def test_moments_pass_a_commuting_rule_past_the_grid():
+    shift = Shift2D(_ones(3), _ones(3), rule=_rule(ONE, ONE, ONE, ONE))
+    for window in range(1, 7):
+        values, _ = _assert_walks_agree(shift, window)
+        assert values == ((1,) * (window + 1),) * (window + 1)
 
 
 # -- generator rules -------------------------------------------------------------
