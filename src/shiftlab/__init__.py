@@ -60,7 +60,6 @@ from .shift1d import (
     unweighted,
 )
 from .shift2d import (
-    Hyponormality2VVerdict,
     Moment2Table,
     Shift2D,
     SixPointVerdict,

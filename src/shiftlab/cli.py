@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -45,12 +46,12 @@ from .shift1d import (
 )
 from .shift2d import (
     DEFAULT_WINDOW_2D,
-    k_hyponormal_2v,
     moments,
     restrict,
     six_point,
     spherical_check,
     sweep_targets,
+    sweep_verdicts,
 )
 from .threshold import bisect_threshold, query_from_descriptor
 
@@ -171,7 +172,7 @@ def _int_tuple(text, name, size):
     if text is None:
         return None
     parts = [piece.strip() for piece in text.split(",")]
-    if len(parts) != size or not all(piece.lstrip("-").isdigit() for piece in parts):
+    if len(parts) != size or not all(re.fullmatch("-?[0-9]+", piece) for piece in parts):
         raise DescriptorError(f"--{name} must be {size} comma-separated integers")
     return tuple(int(piece) for piece in parts)
 
@@ -282,10 +283,9 @@ def khypo2(shift_file, k, window, power, restriction, as_csv):
     data = _load(shift_file)
     power = _int_tuple(power, "power", 2)
     restriction = _int_tuple(restriction, "restriction", 4)
-    targets = sweep_targets(
+    verdicts = list(sweep_verdicts(
         lambda size: shift2d_from_descriptor(data, window=size), k, window, power, restriction
-    )
-    verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
+    ))
     holds = all(v.holds for v in verdicts)
     return {
         "inputs": {"shift": data},
@@ -408,10 +408,9 @@ def restrict_cmd(shift_file, m, n, p, q, window, as_csv):
 def power_cmd(shift_file, m, n, k, window, as_csv):
     """k-hyponormality of every component of the (m,n) power."""
     data = _load(shift_file)
-    targets = sweep_targets(
+    verdicts = list(sweep_verdicts(
         lambda size: shift2d_from_descriptor(data, window=size), k, window, power=(m, n)
-    )
-    verdicts = [k_hyponormal_2v(t, k, window) for t in targets]
+    ))
     holds = all(v.holds for v in verdicts)
     return {
         "inputs": {"shift": data},

@@ -81,7 +81,7 @@ def _require(data, key, path):
 
 def _require_int(data, key, path):
     value = _require(data, key, path)
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise DescriptorError(f"field {key!r} must be an integer", path)
     return value
 
@@ -210,7 +210,7 @@ def shift1d_from_descriptor(data, path="$") -> Shift1D:
         tail = None
     elif tail_kind == "rational_fn":
         start = tail_data.get("start", 0)
-        if not isinstance(start, int) or start < 0:
+        if not isinstance(start, int) or isinstance(start, bool) or start < 0:
             raise DescriptorError("'start' must be a nonnegative integer", f"{path}.tail")
         tail = RationalWeightRule(
             _polynomial(_require(tail_data, "num", f"{path}.tail"), f"{path}.tail.num"),

@@ -27,18 +27,19 @@ def as_rational(value) -> Fraction:
     """Coerce an int, ``"p/q"`` string, or Fraction to an exact Fraction.
 
     Floats are rejected: they would silently smuggle rounding error into a
-    pipeline whose whole point is exactness. A string is an optional sign,
-    digits and an optional ``/digits``, so ``"0.5"`` and ``"1e-1"`` are too.
+    pipeline whose whole point is exactness. Booleans are rejected too: JSON
+    ``true`` is not the number 1. A string is an optional sign, digits and an
+    optional ``/digits``, so ``"0.5"`` and ``"1e-1"`` are too.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL_TEXT.fullmatch(value):
             raise ValueError(f"Invalid literal for Fraction: {value!r}")
         return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r} (floats are not accepted)")
+    raise TypeError(f"not an exact rational: {value!r} (floats and booleans are not accepted)")
 
 
 def format_rational(value: Fraction) -> str:

@@ -40,7 +40,7 @@ from .shift1d import (
     k_hyponormal,
     power_decompose,
 )
-from .shift2d import grid_reach, k_hyponormal_2v, moments, sweep_targets
+from .shift2d import grid_reach, k_hyponormal_2v, moments, sweep_verdicts
 
 THREE_ATOMS = AtomicMeasure1D((F(1, 3), F(1, 2), 1), (F(1, 3), F(1, 3), F(1, 3)))
 
@@ -65,11 +65,6 @@ def _result(name, passed, detail=""):
 # ---------------------------------------------------------------------------
 
 
-def _sweep(build, k, window, **select):
-    """Lazy k-hyponormality verdicts of the targets ``sweep_targets`` selects."""
-    return (k_hyponormal_2v(t, k, window) for t in sweep_targets(build, k, window, **select))
-
-
 def rank_one_threshold_fixture() -> list:
     """Exact positivity boundaries of the rank-one family (x, 2/3, 3/4, ...)
     under the diagonal embedding, and of its (2,3) sublattice restriction."""
@@ -81,8 +76,8 @@ def rank_one_threshold_fixture() -> list:
         (2, F(49, 90), (2, 3, 0, 0)),
     ):
         at, above = (
-            next(_sweep(partial(classical_moments, bergman_rank_one(x)), k, EMBEDDING_WINDOW,
-                        restriction=restriction))
+            next(sweep_verdicts(partial(classical_moments, bergman_rank_one(x)), k,
+                                EMBEDDING_WINDOW, restriction=restriction))
             for x in (boundary, boundary + STEP)
         )
         detail = f"first failure above at base {above.first_failure}"
@@ -99,8 +94,8 @@ def restriction_gap_fixture() -> FixtureResult:
     """Inside (49/90, 9/16] the embedding is 2-hyponormal while its (2,3)
     restriction is not; checked at x = 5/9."""
     embedding = partial(classical_moments, bergman_rank_one(F(5, 9)))
-    (whole,) = _sweep(embedding, 2, EMBEDDING_WINDOW)
-    (part,) = _sweep(embedding, 2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
+    (whole,) = sweep_verdicts(embedding, 2, EMBEDDING_WINDOW)
+    (part,) = sweep_verdicts(embedding, 2, EMBEDDING_WINDOW, restriction=(2, 3, 0, 0))
     return _result(
         "2-hyponormal embedding with non-2-hyponormal (2,3) restriction at x=5/9",
         whole.holds and not part.holds,
@@ -115,13 +110,13 @@ def flat_head_power_fixture() -> list:
     powers pass k = 2."""
     out = []
     embedding = partial(classical_moments, flat_head_bergman(F(3, 5)))
-    (whole,) = _sweep(embedding, 1, EMBEDDING_WINDOW)
+    (whole,) = sweep_verdicts(embedding, 1, EMBEDDING_WINDOW)
     out.append(_result("flat-head embedding passes k=1", whole.holds))
     failing = [
         pq
         for pq, verdict in zip(
             [(p, q) for p in range(2) for q in range(3)],
-            _sweep(embedding, 1, COMPONENT_WINDOW, power=(2, 3)),
+            sweep_verdicts(embedding, 1, COMPONENT_WINDOW, power=(2, 3)),
         )
         if not verdict.holds
     ]
@@ -133,7 +128,8 @@ def flat_head_power_fixture() -> list:
         )
     )
     square_power_failing = any(
-        not verdict.holds for verdict in _sweep(embedding, 2, COMPONENT_WINDOW, power=(2, 2))
+        not verdict.holds
+        for verdict in sweep_verdicts(embedding, 2, COMPONENT_WINDOW, power=(2, 2))
     )
     out.append(_result("(2,2) power of the embedding fails k=2", square_power_failing))
 
@@ -141,10 +137,11 @@ def flat_head_power_fixture() -> list:
         # the (1,1) corner of the size + 1 grid: the size x size grid's table
         return embedding(size + 1).sublattice(1, 1, 1, 1)
 
-    (corner_whole,) = _sweep(corner, 2, EMBEDDING_WINDOW)
+    (corner_whole,) = sweep_verdicts(corner, 2, EMBEDDING_WINDOW)
     out.append(_result("corner restriction fails k=2", not corner_whole.holds))
     verdicts = {
-        m: all(verdict.holds for verdict in _sweep(corner, 2, COMPONENT_WINDOW, power=(m, m)))
+        m: all(verdict.holds
+               for verdict in sweep_verdicts(corner, 2, COMPONENT_WINDOW, power=(m, m)))
         for m in (3, 4)
     }
     out.append(

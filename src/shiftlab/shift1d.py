@@ -180,10 +180,12 @@ def from_measure(sigma) -> Shift1D:
 
 @dataclass(frozen=True)
 class HyponormalityVerdict:
-    """Window-scoped positivity verdict.
+    """Window-scoped positivity verdict of a 1- or 2-variable sweep.
 
     ``holds`` means every tested moment matrix was PSD. The verdict is only
-    about base points inside the window; no claim is made beyond it.
+    about base points inside the window; no claim is made beyond it. A
+    failure names its base point, u or (u1, u2), and the failing matrix's
+    certificate.
     """
 
     holds: bool
@@ -191,6 +193,24 @@ class HyponormalityVerdict:
     window: int
     first_failure: Optional[object]
     certificate: Optional[PsdVerdict]
+
+
+def check_sweep(k: int, window: int):
+    """The argument checks of every k-hyponormality sweep, made before any work."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if window < 0:
+        raise ValueError("window must be >= 0")
+
+
+def sweep_verdict(k: int, window: int, matrices) -> HyponormalityVerdict:
+    """Test the (base point, moment matrix) pairs in order, up to the first
+    that is not PSD; ``matrices`` is lazy, so no later matrix is built."""
+    for u, matrix in matrices:
+        verdict = psd_test(matrix)
+        if not verdict.is_psd:
+            return HyponormalityVerdict(False, k, window, u, verdict)
+    return HyponormalityVerdict(True, k, window, None, None)
 
 
 def hankel_matrix(moments: Sequence, order: int, base: int = 0, *, den: int) -> SymMatrix:
@@ -218,16 +238,10 @@ def k_hyponormal(
     moments are scaled to integers over one denominator once, and every
     matrix slices them.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    check_sweep(k, window)
     moments, den = integer_scaled(shift.moments(window + 2 * k + 1))
-    for u in range(window + 1):
-        verdict = psd_test(hankel_matrix(moments, k, u, den=den))
-        if not verdict.is_psd:
-            return HyponormalityVerdict(False, k, window, u, verdict)
-    return HyponormalityVerdict(True, k, window, None, None)
+    matrices = ((u, hankel_matrix(moments, k, u, den=den)) for u in range(window + 1))
+    return sweep_verdict(k, window, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Optional, Union
 from .errors import CommutativityViolation, WindowTooSmall
 from .exactcore import (
     DeferredField,
-    PsdVerdict,
     RationalPolynomial,
     SymMatrix,
     as_rational,
@@ -31,7 +30,7 @@ from .exactcore import (
     psd_test,
     scale_rows,
 )
-from .shift1d import RationalWeightRule, Shift1D
+from .shift1d import HyponormalityVerdict, RationalWeightRule, Shift1D, check_sweep, sweep_verdict
 
 DEFAULT_WINDOW_2D = 15  # base-point sweep bound u1 + u2 <= 15
 
@@ -469,33 +468,36 @@ def moment_matrix(table: Moment2Table, u, k: int) -> SymMatrix:
     return SymMatrix.from_integers(tuple(get(flat) for get in _row_getters(k)), den)
 
 
-@dataclass(frozen=True)
-class Hyponormality2VVerdict:
-    holds: bool
-    k: int
-    window: int
-    first_failure: Optional[tuple]
-    certificate: Optional[PsdVerdict]
+def sweep_views(power=None, restriction=None) -> list:
+    """The (m, n, p, q) sublattice views a sweep tests, checked: the
+    restriction, every component of the power (m, n) in row-major (p, q)
+    order, or the whole shift, (1, 1, 0, 0). Every sweep, restriction and
+    power takes its views from here, before anything is built."""
+    if power is not None and restriction is not None:
+        raise ValueError("choose either a power or a restriction, not both")
+    if restriction is not None:
+        m, n, p, q = restriction
+        if m < 1 or n < 1 or not (0 <= p < m) or not (0 <= q < n):
+            raise ValueError("need m,n >= 1 and 0 <= p < m, 0 <= q < n")
+        return [(m, n, p, q)]
+    m, n = power or (1, 1)
+    if m < 1 or n < 1:
+        raise ValueError(f"power exponents must be >= 1, got ({m},{n})")
+    return [(m, n, p, q) for p in range(m) for q in range(n)]
 
 
 def grid_reach(k: int, window: int, power=None, restriction=None) -> int:
     """Grid size a k-hyponormality sweep over u1 + u2 <= window needs.
 
     The sweep reads moments up to window + 2k, and a grid one cell larger
-    holds them. A restriction (m, n, p, q) reads them in its own steps, each
-    m (or n) grid steps long, so the table must reach
-    max(m*(window + 2k) + p, n*(window + 2k) + q); a power (m, n) reaches as
-    far as its farthest component, the restriction (m, n, m - 1, n - 1), and
-    is checked here, before a build. The whole shift is the restriction
-    (1, 1, 0, 0).
+    holds them. A view (m, n, p, q) reads them in its own steps, each m (or
+    n) grid steps long, so the table must reach
+    max(m*(window + 2k) + p, n*(window + 2k) + q), for each ``sweep_views``
+    view.
     """
-    if restriction is None:
-        m, n = power or (1, 1)
-        _check_power(m, n)
-        restriction = (m, n, m - 1, n - 1)
-    m, n, p, q = restriction
     reads = window + 2 * k
-    return max(m * reads + p, n * reads + q) + 1
+    return max(max(m * reads + p, n * reads + q)
+               for m, n, p, q in sweep_views(power, restriction)) + 1
 
 
 def _base_points(window: int):
@@ -514,7 +516,7 @@ def _sweep_table(target: Union[Shift2D, Moment2Table], reach: int, sweep: str) -
 
 def k_hyponormal_2v(
     target: Union[Shift2D, Moment2Table], k: int, window: int = DEFAULT_WINDOW_2D
-) -> Hyponormality2VVerdict:
+) -> HyponormalityVerdict:
     """Exact k-hyponormality over base points with u1 + u2 <= window.
 
     ``target`` is a shift, whose moments through window + 2k are computed,
@@ -523,19 +525,13 @@ def k_hyponormal_2v(
     positivity exactly. The verdict is window-scoped.
     """
     table = _khypo_table(target, k, window)
-    for u in _base_points(window):
-        verdict = psd_test(moment_matrix(table, u, k))
-        if not verdict.is_psd:
-            return Hyponormality2VVerdict(False, k, window, u, verdict)
-    return Hyponormality2VVerdict(True, k, window, None, None)
+    matrices = ((u, moment_matrix(table, u, k)) for u in _base_points(window))
+    return sweep_verdict(k, window, matrices)
 
 
 def _khypo_table(target: Union[Shift2D, Moment2Table], k: int, window: int) -> Moment2Table:
     """The moments a k-sweep over ``window`` reads, after its argument checks."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    check_sweep(k, window)
     return _sweep_table(target, window + 2 * k, f"a k={k} sweep over window {window}")
 
 
@@ -549,7 +545,7 @@ def k_hyponormal_diagonal(build, k: int, window: int, power=None, restriction=No
     """
     passed = set()
     views = sweep_targets(build, k, window, power, restriction)
-    for (m, n, p, q), view in zip(_selectors(power, restriction), views):
+    for (m, n, p, q), view in zip(sweep_views(power, restriction), views):
         table = _khypo_table(view, k, window)
         for u1, u2 in _base_points(window):
             c = p + q + m * u1 + n * u2
@@ -628,7 +624,7 @@ def restrict(shift: Shift2D, m: int, n: int, p: int, q: int) -> Shift2D:
     This is the (p,q)-component of the (m,n)-power: stepping once in the
     restriction multiplies m consecutive horizontal (or n vertical) weights.
     """
-    _check_restriction(m, n, p, q)
+    sweep_views(restriction=(m, n, p, q))
     return _sublattice(shift, m, n, p, q, _restriction_too_small(shift.window, m, n, p, q))
 
 
@@ -644,13 +640,7 @@ def power_components(shift: Shift2D, m: int, n: int) -> list:
     """All m*n sublattice components of the (m,n)-power, ordered row-major in
     (p, q). A property holds for the power iff it holds for every component.
     """
-    _check_power(m, n)
-    return [restrict(shift, m, n, p, q) for p in range(m) for q in range(n)]
-
-
-def _check_restriction(m: int, n: int, p: int, q: int):
-    if m < 1 or n < 1 or not (0 <= p < m) or not (0 <= q < n):
-        raise ValueError("need m,n >= 1 and 0 <= p < m, 0 <= q < n")
+    return [restrict(shift, *view) for view in sweep_views(power=(m, n))]
 
 
 def _restriction_too_small(window: int, m: int, n: int, p: int, q: int) -> str:
@@ -658,26 +648,12 @@ def _restriction_too_small(window: int, m: int, n: int, p: int, q: int) -> str:
 
 
 def _restrict_table(table: Moment2Table, m: int, n: int, p: int, q: int) -> Moment2Table:
-    """``restrict`` read off the moments of a (window + 1)-square grid, with
-    the errors ``restrict`` raises on that grid."""
-    _check_restriction(m, n, p, q)
+    """``restrict`` of a ``sweep_views`` view, read off the moments of a
+    (window + 1)-square grid, with the error ``restrict`` raises on that grid."""
     grid = table.window + 1
     if min((grid - p) // m, (grid - q) // n) < 1:
         raise WindowTooSmall(_restriction_too_small(grid, m, n, p, q))
     return table.sublattice(m, n, p, q)
-
-
-def _check_power(m: int, n: int):
-    if m < 1 or n < 1:
-        raise ValueError(f"power exponents must be >= 1, got ({m},{n})")
-
-
-def _selectors(power=None, restriction=None) -> list:
-    """Each view's (m, n, p, q), in ``sweep_targets``' order; all is the (1, 1) power."""
-    if restriction is not None:
-        return [restriction]
-    m, n = power or (1, 1)
-    return [(m, n, p, q) for p in range(m) for q in range(n)]
 
 
 def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> list:
@@ -685,16 +661,24 @@ def sweep_targets(build, k: int, window: int, power=None, restriction=None) -> l
 
     ``build(n)`` returns the shift on an n x n grid, or its moment table
     through window n - 1; it is called once, at the sweep's ``grid_reach``,
-    and a shift's moments are taken once, over its whole grid. The targets
-    are ``sublattice`` views of the table: the restriction (m, n, p, q),
-    every component of the power (m, n) in row-major (p, q) order, or all of it.
+    after the views, k and the window are checked, and a shift's moments are
+    taken once, over its whole grid. The targets are ``sublattice`` views of
+    the table, one per ``sweep_views`` view, in its order.
     """
+    views = sweep_views(power, restriction)
+    check_sweep(k, window)
     table = build(grid_reach(k, window, power, restriction))
-    if power is not None and restriction is not None:
-        raise ValueError("choose either a power or a restriction, not both")
     if isinstance(table, Shift2D):
         table = moments(table, table.window - 1)
-    return [_restrict_table(table, *s) for s in _selectors(power, restriction)]
+    return [_restrict_table(table, *view) for view in views]
+
+
+def sweep_verdicts(build, k: int, window: int, power=None, restriction=None):
+    """``k_hyponormal_2v``'s verdict on each ``sweep_targets`` target, lazily:
+    the targets are built at once, and a caller that stops early tests no
+    further target."""
+    targets = sweep_targets(build, k, window, power, restriction)
+    return (k_hyponormal_2v(t, k, window) for t in targets)
 
 
 def row(shift: Shift2D, j: int) -> Shift1D:

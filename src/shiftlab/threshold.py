@@ -18,8 +18,8 @@ from .descriptors import _rational, shift1d_from_descriptor
 from .embed import classical_moments
 from .errors import DescriptorError, NotMonotone
 from .exactcore import format_rational, psd_memo_scope
-from .shift1d import DEFAULT_WINDOW_1D, k_hyponormal
-from .shift2d import DEFAULT_WINDOW_2D, k_hyponormal_diagonal, six_point, sweep_targets
+from .shift1d import DEFAULT_WINDOW_1D, check_sweep, k_hyponormal
+from .shift2d import DEFAULT_WINDOW_2D, k_hyponormal_diagonal, six_point, sweep_targets, sweep_views
 
 PREDICATE_OPS = ("khypo1", "khypo2", "sixpoint")
 CANDIDATE_MARGIN = Fraction(1, 1000)
@@ -44,8 +44,7 @@ class ThresholdQuery:
     def __post_init__(self):
         if self.op not in PREDICATE_OPS:
             raise ValueError(f"op must be one of {PREDICATE_OPS}")
-        if self.power is not None and self.restriction is not None:
-            raise ValueError("choose either a power or a restriction, not both")
+        sweep_views(self.power, self.restriction)
         if self.op == "khypo1" and (self.power is not None or self.restriction is not None):
             raise ValueError(
                 "khypo1 tests the 1-variable shift; a power or restriction "
@@ -53,8 +52,7 @@ class ThresholdQuery:
             )
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_sweep(self.k, 0 if self.window is None else self.window)
 
 
 @dataclass(frozen=True)

@@ -921,6 +921,79 @@ def test_threshold_nonpositive_power_names_itself(runner, files, op):
     assert both.stderr == "error: choose either a power or a restriction, not both\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["khypo2", "--shift", "classical"],
+        ["sixpoint", "--shift", "classical"],
+        ["power", "--shift", "classical", "--m", "2", "--n", "2"],
+        ["threshold", "--family", "family", "--precision", "100"],
+    ],
+    ids=["khypo2", "sixpoint", "power", "threshold"],
+)
+def test_negative_window_is_checked_before_the_build(runner, files, tmp_path, args):
+    # the window is checked with k and the views, not by the grid it sizes
+    classical = tmp_path / "classical.json"
+    classical.write_text(json.dumps({"kind": "classical", "base": {"kind": "bergman"}}))
+    named = dict(files, classical=str(classical))
+    result = runner.invoke(main, [named.get(arg, arg) for arg in args] + ["--window", "-5"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: window must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["khypo2", "--shift", "sie", "--power=--2,2"], "--power must be 2"),
+        (["khypo2", "--shift", "sie", "--power", "\u00b2,2"], "--power must be 2"),
+        (["khypo2", "--shift", "sie", "--restriction", "2,3,0,+0"], "--restriction must be 4"),
+        (["threshold", "--family", "family", "--restriction=--2,3,0,0"],
+         "--restriction must be 4"),
+        (["threshold", "--family", "family", "--power", "2,\u0663"], "--power must be 2"),
+    ],
+    ids=["double-minus", "superscript", "plus", "threshold-double-minus", "arabic-indic"],
+)
+def test_malformed_integer_tuple_names_its_option(runner, files, args, message):
+    result = runner.invoke(main, [files.get(arg, arg) for arg in args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: $: {message} comma-separated integers\n"
+
+
+@pytest.mark.parametrize(
+    "args, descriptor, message",
+    [
+        (["moments1", "--count", "3"], {"prefix_sq": [True, "1/2"]},
+         "$.prefix_sq[0]: expected a rational, got True"),
+        (["khypo1"], {"kind": "agler", "j": True}, "$: field 'j' must be an integer"),
+        (["khypo1"], {"prefix_sq": ["1/2"], "norm_bound_sq": False},
+         "$.norm_bound_sq: expected a rational, got False"),
+        (["khypo1"], {"prefix_sq": [], "tail": {"kind": "rational_fn", "num": [1, 1],
+                                                "den": [2, 1], "start": True}},
+         "$.tail: 'start' must be a nonnegative integer"),
+    ],
+    ids=["prefix", "agler-j", "norm-bound", "tail-start"],
+)
+def test_json_booleans_are_not_numbers(runner, tmp_path, args, descriptor, message):
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(descriptor))
+    result = runner.invoke(main, [args[0], "--shift", str(path), *args[1:]])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {message}")
+
+
+def test_boolean_coefficient_option_is_an_error(runner, files):
+    result = runner.invoke(
+        main, ["pushforward", "--measure", files["three_atoms"], "--p", "[true, false]",
+               "--q", "1"]
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: $: --p must be a rational like 49/90, got True\n"
+
+
 def test_nonpositive_power_with_a_restriction_asks_to_choose(runner, files):
     result = runner.invoke(
         main,

@@ -153,6 +153,30 @@ def test_shift2d_named_needs_window():
         shift2d_from_descriptor({"kind": "sie_bergman"})
 
 
+@pytest.mark.parametrize(
+    "parse, descriptor, path",
+    [
+        (shift1d_from_descriptor, {"prefix_sq": [True, "1/2"]}, "$.prefix_sq[0]"),
+        (shift1d_from_descriptor, {"kind": "agler", "j": True}, "$"),
+        (shift1d_from_descriptor, {"kind": "flat", "first_weight_sq": True},
+         "$.first_weight_sq"),
+        (shift1d_from_descriptor,
+         {"prefix_sq": [], "tail": {"kind": "rational_fn", "num": [1], "den": [1],
+                                    "start": False}}, "$.tail"),
+        (shift1d_from_descriptor,
+         {"prefix_sq": [], "tail": {"kind": "rational_fn", "num": [True], "den": [1]}},
+         "$.tail.num[0]"),
+        (measure1d_from_descriptor, {"kind": "beta", "j": True}, "$"),
+        (measure1d_from_descriptor,
+         {"kind": "atomic1d", "atoms": [True], "densities": ["1"]}, "$.atoms[0]"),
+    ],
+)
+def test_json_booleans_are_not_numbers(parse, descriptor, path):
+    with pytest.raises(DescriptorError) as err:
+        parse(descriptor)
+    assert err.value.path == path
+
+
 def test_shift1d_rejects_unknown_tail():
     with pytest.raises(DescriptorError) as err:
         shift1d_from_descriptor({"prefix_sq": [], "tail": {"kind": "magic"}})

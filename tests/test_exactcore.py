@@ -45,6 +45,9 @@ def test_as_rational_forms():
     assert as_rational(F(1, 3)) == F(1, 3)
     with pytest.raises(TypeError):
         as_rational(0.5)
+    for flag in (True, False):  # JSON true/false are not 1 and 0
+        with pytest.raises(TypeError, match="booleans are not accepted"):
+            as_rational(flag)
     assert as_rational(" -3/4\n") == F(-3, 4)
     assert as_rational("+7") == F(7)
 

@@ -447,15 +447,17 @@ def test_six_point_flat_head_family():
 
 
 def test_grid_reach_values():
-    # max(m*(window + 2k) + p, n*(window + 2k) + q) + 1, a power (m, n)
-    # read as the restriction (m, n, m - 1, n - 1)
+    # max(m*(window + 2k) + p, n*(window + 2k) + q) + 1 over the views, a
+    # power (m, n) reaching farthest at its (m - 1, n - 1) component
     assert grid_reach(1, 15) == 18
     assert grid_reach(2, 15, restriction=(2, 3, 0, 0)) == 58
     assert grid_reach(2, 15, power=(2, 3)) == 60
     assert grid_reach(1, 6, power=(2, 3)) == 27
     assert grid_reach(2, 6, power=(2, 2)) == 22
-    # a restriction wins over a power, as in the CLI and threshold queries
-    assert grid_reach(1, 4, power=(3, 3), restriction=(1, 2, 0, 1)) == 14
+    # a power and a restriction together are rejected, as in the CLI and
+    # threshold queries
+    with pytest.raises(ValueError, match="choose either a power or a restriction, not both"):
+        grid_reach(1, 4, power=(3, 3), restriction=(1, 2, 0, 1))
 
 
 @pytest.mark.parametrize("k, window", [(1, 3), (2, 2)])
@@ -505,7 +507,7 @@ def test_sweep_targets_selects_whole_restriction_and_row_major_power():
     assert all(_agrees_on(t, _grid_moments(g)) for t, g in zip(parts, expected))
 
 
-def test_sweep_targets_rejects_power_and_restriction_after_the_build():
+def test_sweep_targets_rejects_power_and_restriction_before_the_build():
     sizes = []
 
     def build(size):
@@ -514,7 +516,34 @@ def test_sweep_targets_rejects_power_and_restriction_after_the_build():
 
     with pytest.raises(ValueError, match="either a power or a restriction"):
         sweep_targets(build, 1, 4, power=(3, 3), restriction=(1, 2, 0, 1))
-    assert sizes == [grid_reach(1, 4, power=(3, 3), restriction=(1, 2, 0, 1))]
+    assert sizes == []
+
+
+def _unbuilt(size):
+    raise AssertionError(f"a rejected sweep called build({size})")
+
+
+# (k, window, selection, error): each is rejected before any grid or table is
+# built, however large the grid its views would ask for
+REJECTED_SWEEPS = {
+    "k0": (0, 4, {}, "k must be >= 1"),
+    "window-5": (1, -5, {}, "window must be >= 0"),
+    "q-beyond-n": (1, 4, {"restriction": (1000, 1, 0, 3)},
+                   "need m,n >= 1 and 0 <= p < m, 0 <= q < n"),
+    "power-and-restriction": (1, 4, {"power": (2, 2), "restriction": (5000, 1, 0, 0)},
+                              "choose either a power or a restriction, not both"),
+}
+
+
+@pytest.mark.parametrize(
+    "k, window, select, message", list(REJECTED_SWEEPS.values()), ids=list(REJECTED_SWEEPS)
+)
+@pytest.mark.parametrize("sweep", [sweep_targets, k_hyponormal_diagonal],
+                         ids=["sweep_targets", "k_hyponormal_diagonal"])
+def test_a_rejected_sweep_builds_nothing(sweep, k, window, select, message):
+    with pytest.raises(ValueError) as err:
+        sweep(_unbuilt, k, window, **select)
+    assert str(err.value) == message
 
 
 def test_khypo2_helton_howe():

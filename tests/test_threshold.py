@@ -161,6 +161,30 @@ def test_two_variable_predicates_read_only_table_integers(monkeypatch, op, k, se
     assert evaluate_predicate(query, x) == (x == F(1, 2))
 
 
+# (k, window, selection, error), as the sweeps themselves reject them
+REJECTED_QUERIES = {
+    "k0": (0, 4, {}, "k must be >= 1"),
+    "window-5": (1, -5, {}, "window must be >= 0"),
+    "q-beyond-n": (1, 4, {"restriction": (1000, 1, 0, 3)},
+                   "need m,n >= 1 and 0 <= p < m, 0 <= q < n"),
+    "power-and-restriction": (1, 4, {"power": (2, 2), "restriction": (5000, 1, 0, 0)},
+                              "choose either a power or a restriction, not both"),
+}
+
+
+@pytest.mark.parametrize(
+    "op, k, window, select, message",
+    [(op, *case) for op in ("khypo2", "sixpoint") for case in REJECTED_QUERIES.values()]
+    + [("khypo1", 1, -5, {}, "window must be >= 0")],
+    ids=[f"{op}-{name}" for op in ("khypo2", "sixpoint") for name in REJECTED_QUERIES]
+    + ["khypo1-window-5"],
+)
+def test_a_rejected_query_fails_when_it_is_constructed(op, k, window, select, message):
+    with pytest.raises(ValueError) as err:
+        ThresholdQuery(RANK_ONE_TEMPLATE, "x", F(1, 2), F(4, 5), op, k=k, window=window, **select)
+    assert str(err.value) == message
+
+
 def test_sixpoint_grid_is_sized_for_k1(monkeypatch):
     ks = []
     real = threshold.sweep_targets
@@ -321,8 +345,15 @@ def test_khypo2_predicate_matches_the_full_sweep_of_every_view():
                 for t in sweep_targets(build, k, window, **select)
             )
         )
-        query = ThresholdQuery(template, "x", F(0), F(1), "khypo2", k=k, window=window, **select)
-        assert _outcome(lambda: evaluate_predicate(query, x)) == reference, (x, select, k, window)
+        # a query the reference rejects is rejected when it is constructed
+        query = _outcome(lambda: ThresholdQuery(
+            template, "x", F(0), F(1), "khypo2", k=k, window=window, **select
+        ))
+        case = (x, select, k, window)
+        if isinstance(reference, tuple):
+            assert query == reference, case
+        else:
+            assert _outcome(lambda: evaluate_predicate(query, x)) == reference, case
         outcomes.append(reference)
     # both sides of every boundary, and every kind of outcome
     for i in range(len(BOUNDARIES)):
