@@ -79,14 +79,23 @@ def _denom_limit():
         raise DescriptorError(f"{DENOM_BITS_ENV} must be an integer, got {raw!r}")
 
 
+def _check_denominator(value, limit):
+    """Refuse a rational, or a string that spells one, whose denominator
+    needs more than ``limit`` bits; other strings pass."""
+    try:
+        bits = as_rational(value).denominator.bit_length()
+    except (ValueError, ZeroDivisionError):
+        return
+    if bits > limit:
+        raise DenominatorLimitExceeded(f"denominator needs {bits} bits, cap is {limit}")
+
+
 def _jsonify(value, limit):
-    if isinstance(value, Fraction):
-        if limit is not None and value.denominator.bit_length() > limit:
-            raise DenominatorLimitExceeded(
-                f"denominator needs {value.denominator.bit_length()} bits, cap is {limit}"
-            )
-        return format_rational(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if isinstance(value, (Fraction, str)):
+        if limit is not None:
+            _check_denominator(value, limit)
+        return value if isinstance(value, str) else format_rational(value)
+    if isinstance(value, bool) or value is None or isinstance(value, int):
         return value
     if dataclasses.is_dataclass(value):
         return {
@@ -178,18 +187,26 @@ def _int_tuple(text, name, size):
 
 
 def run_command(func):
-    """Execute a handler with the shared timing/error/exit-code contract;
-    the report's ``"command"`` key is the name of the running click command."""
+    """Execute a handler with the shared timing/error/exit-code contract.
+
+    The handler returns ``(inputs, params, result, ok)``; the report is
+    ``{"command", "inputs", "params", "result"}``, where ``"command"`` is the
+    name of the running click command and ``ok`` picks exit code 0 or 2.
+    """
 
     def wrapper(*args, **kwargs):
         started = time.perf_counter()
         try:
-            payload, ok = func(*args, **kwargs)
+            inputs, params, result, ok = func(*args, **kwargs)
             elapsed = time.perf_counter() - started
-            payload["command"] = click.get_current_context().command.name
-            _emit(payload, kwargs.get("as_csv", False))
+            _emit({
+                "command": click.get_current_context().command.name,
+                "inputs": inputs,
+                "params": params,
+                "result": result,
+            }, kwargs.get("as_csv", False))
             # sys.exit's traceback keeps this frame, so drop the report now
-            del payload
+            del inputs, params, result
         except REPORTED_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
@@ -226,11 +243,7 @@ def moments1(shift_file, count, as_csv):
     data = _load(shift_file)
     shift = shift1d_from_descriptor(data)
     values = shift.moments(count)
-    return {
-        "inputs": {"shift": data},
-        "params": {"count": count},
-        "result": {"moments": values},
-    }, True
+    return {"shift": data}, {"count": count}, {"moments": values}, True
 
 
 @main.command("moments2")
@@ -245,11 +258,7 @@ def moments2(shift_file, window, as_csv):
         raise ValueError("window must be >= 0")
     shift = shift2d_from_descriptor(data, window=window + 1)
     table = moments(shift, window)
-    return {
-        "inputs": {"shift": data},
-        "params": {"window": window},
-        "result": {"moments": [list(row) for row in table.values]},
-    }, True
+    return {"shift": data}, {"window": window}, {"moments": table.values}, True
 
 
 @main.command("khypo1")
@@ -262,11 +271,7 @@ def khypo1(shift_file, k, window, as_csv):
     """Exact k-hyponormality of a 1-variable shift on a base-point window."""
     data = _load(shift_file)
     verdict = k_hyponormal(shift1d_from_descriptor(data), k, window)
-    return {
-        "inputs": {"shift": data},
-        "params": {"k": k, "window": window},
-        "result": verdict,
-    }, verdict.holds
+    return {"shift": data}, {"k": k, "window": window}, verdict, verdict.holds
 
 
 @main.command("khypo2")
@@ -287,16 +292,8 @@ def khypo2(shift_file, k, window, power, restriction, as_csv):
         lambda size: shift2d_from_descriptor(data, window=size), k, window, power, restriction
     ))
     holds = all(v.holds for v in verdicts)
-    return {
-        "inputs": {"shift": data},
-        "params": {
-            "k": k,
-            "window": window,
-            "power": list(power) if power else None,
-            "restriction": list(restriction) if restriction else None,
-        },
-        "result": {"holds": holds, "components": verdicts},
-    }, holds
+    params = {"k": k, "window": window, "power": power, "restriction": restriction}
+    return {"shift": data}, params, {"holds": holds, "components": verdicts}, holds
 
 
 @main.command("sixpoint")
@@ -309,11 +306,7 @@ def sixpoint(shift_file, window, as_csv):
     data = _load(shift_file)
     (table,) = sweep_targets(lambda size: shift2d_from_descriptor(data, window=size), 1, window)
     verdict = six_point(table, window)
-    return {
-        "inputs": {"shift": data},
-        "params": {"window": window},
-        "result": verdict,
-    }, verdict.holds
+    return {"shift": data}, {"window": window}, verdict, verdict.holds
 
 
 @main.command("embed")
@@ -344,11 +337,7 @@ def embed_cmd(kind, spec_file, base_file, row0_file, p_text, q_text, c_text, win
         result, ok = {"stalled": grid}, False
     else:
         result, ok = {"shift": shift2d_to_descriptor(grid)}, True
-    return {
-        "inputs": inputs,
-        "params": {"window": window},
-        "result": result,
-    }, ok
+    return inputs, {"window": window}, result, ok
 
 
 def _flag_descriptor(kind, base_file, row0_file, p_text, q_text, c_text):
@@ -388,12 +377,8 @@ def restrict_cmd(shift_file, m, n, p, q, window, as_csv):
     """Sublattice restriction: the (p,q)-component of the (m,n) power."""
     data = _load(shift_file)
     shift = shift2d_from_descriptor(data, window=window)
-    part = restrict(shift, m, n, p, q)
-    return {
-        "inputs": {"shift": data},
-        "params": {"m": m, "n": n, "p": p, "q": q},
-        "result": {"shift": shift2d_to_descriptor(part)},
-    }, True
+    result = {"shift": shift2d_to_descriptor(restrict(shift, m, n, p, q))}
+    return {"shift": data}, {"m": m, "n": n, "p": p, "q": q}, result, True
 
 
 @main.command("power")
@@ -412,16 +397,9 @@ def power_cmd(shift_file, m, n, k, window, as_csv):
         lambda size: shift2d_from_descriptor(data, window=size), k, window, power=(m, n)
     ))
     holds = all(v.holds for v in verdicts)
-    return {
-        "inputs": {"shift": data},
-        "params": {"m": m, "n": n, "k": k, "window": window},
-        "result": {
-            "holds": holds,
-            "components": {
-                f"{p},{q}": verdicts[p * n + q] for p in range(m) for q in range(n)
-            },
-        },
-    }, holds
+    components = {f"{p},{q}": verdicts[p * n + q] for p in range(m) for q in range(n)}
+    params = {"m": m, "n": n, "k": k, "window": window}
+    return {"shift": data}, params, {"holds": holds, "components": components}, holds
 
 
 @main.command("decompose")
@@ -434,11 +412,8 @@ def decompose(shift_file, m, window, as_csv):
     """Orthogonal summands of the m-th power of a 1-variable shift."""
     data = _load(shift_file)
     parts = power_decompose(shift1d_from_descriptor(data), m, window)
-    return {
-        "inputs": {"shift": data},
-        "params": {"m": m, "window": window},
-        "result": {"components": [shift1d_to_descriptor(part) for part in parts]},
-    }, True
+    result = {"components": [shift1d_to_descriptor(part) for part in parts]}
+    return {"shift": data}, {"m": m, "window": window}, result, True
 
 
 @main.command("curto-park")
@@ -453,11 +428,8 @@ def curto_park(measure_file, m, as_csv):
     if getattr(sigma, "kind", None) != "atomic1d":
         raise DescriptorError("curto-park needs an atomic1d measure")
     nus = curto_park_measures(sigma, m)
-    return {
-        "inputs": {"measure": data},
-        "params": {"m": m},
-        "result": {"measures": [measure_to_descriptor(nu) for nu in nus]},
-    }, True
+    result = {"measures": [measure_to_descriptor(nu) for nu in nus]}
+    return {"measure": data}, {"m": m}, result, True
 
 
 @main.command("recursion")
@@ -473,7 +445,7 @@ def recursion(moments_text, shift_file, count, max_order, as_csv):
     """Detect the minimal linear recursion of a moment sequence."""
     if moments_text is not None:
         values = [_rational_option(piece.strip(), "moments") for piece in moments_text.split(",")]
-        inputs = {"moments": list(values)}
+        inputs = {"moments": values}
     elif shift_file is not None:
         data = _load(shift_file)
         values = shift1d_from_descriptor(data).moments(count)
@@ -484,20 +456,12 @@ def recursion(moments_text, shift_file, count, max_order, as_csv):
     body = {
         "found": result.found,
         "order": result.order,
-        "coefficients": list(result.coefficients) if result.coefficients else None,
-        "generating_poly": (
-            list(result.generating_poly.coefficients) if result.generating_poly else None
-        ),
-        "atoms": [list(pair) for pair in result.atoms] if result.atoms else None,
-        "root_intervals": (
-            [list(iv) for iv in result.root_intervals] if result.root_intervals else None
-        ),
+        "coefficients": result.coefficients,
+        "generating_poly": result.generating_poly.coefficients if result.generating_poly else None,
+        "atoms": result.atoms,
+        "root_intervals": result.root_intervals or None,
     }
-    return {
-        "inputs": inputs,
-        "params": {"max_order": max_order},
-        "result": body,
-    }, True
+    return inputs, {"max_order": max_order}, body, True
 
 
 @main.command("pushforward")
@@ -515,18 +479,14 @@ def pushforward(measure_file, p_text, q_text, window, as_csv):
     p, q = _coeffs(p_text, "p"), _coeffs(q_text, "q")
     if window < 0:
         raise ValueError("window must be >= 0")
-    inputs = {"measure": data, "p": list(p.coefficients), "q": list(q.coefficients)}
+    inputs = {"measure": data, "p": p.coefficients, "q": q.coefficients}
     if getattr(sigma, "kind", None) == "atomic1d":
         mu = pushforward_atomic(sigma, p, q)
         result = {"measure": measure_to_descriptor(mu)}
     else:
         oracle = pushforward_moments(sigma, p, q)
         result = {"moments": fraction_rows(*oracle.scaled_table(window))}
-    return {
-        "inputs": inputs,
-        "params": {"window": window},
-        "result": result,
-    }, True
+    return inputs, {"window": window}, result, True
 
 
 @main.command("marginal")
@@ -540,12 +500,8 @@ def marginal_cmd(measure_file, axis, as_csv):
     mu = measure2d_from_descriptor(data)
     if getattr(mu, "kind", None) != "atomic2d":
         raise DescriptorError("marginal needs an atomic2d measure")
-    nu = marginal(mu, axis)
-    return {
-        "inputs": {"measure": data},
-        "params": {"axis": axis},
-        "result": {"measure": measure_to_descriptor(nu)},
-    }, True
+    result = {"measure": measure_to_descriptor(marginal(mu, axis))}
+    return {"measure": data}, {"axis": axis}, result, True
 
 
 @main.command("recover")
@@ -560,12 +516,8 @@ def recover(shift_file, atoms_text, window, as_csv):
     data = _load(shift_file)
     shift = shift2d_from_descriptor(data, window=window)
     atoms = [_rational_option(piece.strip(), "atoms") for piece in atoms_text.split(",")]
-    mu = recover_densities(shift, atoms)
-    return {
-        "inputs": {"shift": data, "atoms": list(atoms)},
-        "params": {},
-        "result": {"measure": measure_to_descriptor(mu)},
-    }, True
+    result = {"measure": measure_to_descriptor(recover_densities(shift, atoms))}
+    return {"shift": data, "atoms": atoms}, {}, result, True
 
 
 @main.command("spherical-check")
@@ -580,11 +532,7 @@ def spherical_check_cmd(shift_file, window, as_csv):
         raise ValueError("window must be >= 0")
     shift = shift2d_from_descriptor(data, window=None if window is None else window + 2)
     constant = spherical_check(shift, window)
-    return {
-        "inputs": {"shift": data},
-        "params": {"window": window},
-        "result": {"constant": constant},
-    }, constant is not None
+    return {"shift": data}, {"window": window}, {"constant": constant}, constant is not None
 
 
 @main.command("threshold")
@@ -615,19 +563,9 @@ def threshold(family_file, op, k, window, power, restriction, precision, candida
         candidate=None if candidate is None else _rational_option(candidate, "candidate"),
     )
     result = bisect_threshold(query)
-    ok = result.candidate_confirmed is not False
-    return {
-        "inputs": {"family": data},
-        "params": {
-            "op": op,
-            "k": k,
-            "window": window,
-            "power": power,
-            "restriction": restriction,
-            "precision": precision,
-        },
-        "result": result,
-    }, ok
+    params = {"op": op, "k": k, "window": window, "power": power,
+              "restriction": restriction, "precision": precision}
+    return {"family": data}, params, result, result.candidate_confirmed is not False
 
 
 @main.command("fixtures")

@@ -156,6 +156,8 @@ def spherical_embed_measure(sigma, c, window: int) -> Shift2D:
     The result always satisfies ``spherical_check`` with the given c.
     """
     c = as_rational(c)
+    if c <= 0:
+        raise ValueError("c must be positive")
     p = RationalPolynomial.of(0, 1)
     q = RationalPolynomial.of(c, -1)
     return poly_embed(sigma, p, q, window)

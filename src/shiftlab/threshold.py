@@ -8,7 +8,6 @@ boundary to a requested width and can confirm an exact candidate value.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,7 +88,7 @@ def substitute_parameter(obj, name: str, value: Fraction):
         return [substitute_parameter(v, name, value) for v in obj]
     if isinstance(obj, dict):
         return {k: substitute_parameter(v, name, value) for k, v in obj.items()}
-    return copy.copy(obj)
+    return obj
 
 
 def evaluate_predicate(query: ThresholdQuery, x: Fraction) -> bool:

@@ -49,6 +49,20 @@ def files(tmp_path):
                 "densities": ["1/3", "1/3", "1/3"],
             },
         ),
+        "helton_howe": write("helton_howe.json", {"kind": "helton_howe"}),
+        "classical_grid": write(
+            "classical.json", {"kind": "classical", "base": {"kind": "bergman"}}
+        ),
+        # 3-bit denominators whose x-marginal needs 4 bits:
+        # 1/6 + 1/4 = 5/12 and 1/4 + 1/3 = 7/12
+        "sixths_and_quarters": write(
+            "sixths_and_quarters.json",
+            {
+                "kind": "atomic2d",
+                "atoms": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
+                "densities": ["1/6", "1/4", "1/4", "1/3"],
+            },
+        ),
         "planar": write(
             "planar.json",
             {
@@ -527,6 +541,103 @@ def test_denominator_cap(runner, files, monkeypatch):
     assert "denominator" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, cap, bits",
+    [
+        (["embed", "--kind", "classical", "--base", "bergman", "--window", "4"], 2, 3),
+        (["restrict", "--shift", "classical_grid", "--m", "2", "--n", "2", "--window", "8"],
+         2, 3),
+        (["curto-park", "--measure", "three_atoms", "--m", "2"], 2, 4),
+        (["decompose", "--shift", "bergman", "--m", "2", "--window", "4"], 2, 3),
+        (["pushforward", "--measure", "three_atoms", "--p", "0,1/2", "--q", "1,-1"], 2, 3),
+        (["marginal", "--measure", "sixths_and_quarters", "--axis", "x"], 3, 4),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_denominator_cap_covers_serialized_results(runner, files, monkeypatch, args, cap, bits):
+    # each result reaches the report as text that a serializer already
+    # formatted; every rational in the inputs is within the cap
+    argv = [files.get(arg, arg) for arg in args]
+    assert runner.invoke(main, argv).exit_code == 0
+    monkeypatch.setenv("SHIFTLAB_MAX_DENOM_BITS", str(cap))
+    for extra in ([], ["--csv"]):
+        result = runner.invoke(main, [*argv, *extra])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: denominator needs {bits} bits, cap is {cap}\n"
+
+
+def test_denominator_cap_covers_echoed_inputs(runner, files, tmp_path, monkeypatch):
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps({"prefix_sq": ["7/10"]}))
+    embedded = runner.invoke(main, ["embed", "--kind", "spherical", "--c", "1",
+                                    "--base", files["three_atoms"], "--window", "3"])
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(_payload(embedded)["result"]["shift"]))
+    cases = [
+        # the report's only moment is 1; the descriptor holds 7/10
+        (["moments1", "--shift", str(shift), "--count", "1"], 3, 4),
+        # the grid's first weight is 11/18; the atoms and the recovered
+        # measure need 2 bits
+        (["recover", "--shift", str(grid), "--atoms", "1/3,1/2,1"], 2, 5),
+    ]
+    for args, cap, bits in cases:
+        monkeypatch.delenv("SHIFTLAB_MAX_DENOM_BITS", raising=False)
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setenv("SHIFTLAB_MAX_DENOM_BITS", str(cap))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: denominator needs {bits} bits, cap is {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["embed", "--kind", "poly", "--base", "three_atoms", "--p", "0,1", "--q", "1,-1",
+         "--window", "3"],
+        ["khypo2", "--shift", "sie", "--power", "2,1", "--window", "2"],
+        ["recursion", "--moments", "1,0,-1,0,1,0,-1,0"],
+        ["threshold", "--family", "family", "--window", "2", "--power", "2,1",
+         "--precision", "8"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_cap_every_denominator_meets_changes_no_byte(runner, files, monkeypatch, args):
+    # names, kinds and option texts such as "2,1" are not rationals and pass
+    argv = [files.get(arg, arg) for arg in args]
+    for extra in ([], ["--csv"]):
+        monkeypatch.delenv("SHIFTLAB_MAX_DENOM_BITS", raising=False)
+        free = runner.invoke(main, [*argv, *extra])
+        monkeypatch.setenv("SHIFTLAB_MAX_DENOM_BITS", "64")
+        capped = runner.invoke(main, [*argv, *extra])
+        assert free.exit_code == capped.exit_code == 0
+        assert capped.stdout == free.stdout
+
+
+@pytest.mark.parametrize(
+    "c, base",
+    [("0", "three_atoms"), ("-1", "lebesgue"), ("0", "point_at_0"), ("-1/2", "three_atoms")],
+)
+@pytest.mark.parametrize("route", ["flags", "spec"])
+def test_spherical_measure_route_rejects_a_nonpositive_c(runner, files, tmp_path, c, base,
+                                                           route):
+    bases = {
+        "three_atoms": json.loads(Path(files["three_atoms"]).read_text()),
+        "lebesgue": {"kind": "lebesgue01"},
+        "point_at_0": {"kind": "atomic1d", "atoms": ["0"], "densities": ["1"]},
+    }
+    base_file = tmp_path / "base.json"
+    base_file.write_text(json.dumps(bases[base]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "spherical", "c": c, "base": bases[base]}))
+    args = (["--kind", "spherical", "--c", c, "--base", str(base_file)] if route == "flags"
+            else ["--spec", str(spec)])
+    result = runner.invoke(main, ["embed", *args, "--window", "3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: c must be positive\n"
+
+
 def test_schema_error_exit_code(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"prefix_sq": ')
@@ -776,16 +887,19 @@ def test_fixtures_worked_examples_pass(runner):
     "args",
     [
         ["moments1", "--shift", "bergman", "--count", "2"],
+        ["moments2", "--shift", "sie", "--window", "2"],
         ["khypo1", "--shift", "bergman", "--window", "2"],
         ["khypo2", "--shift", "sie", "--window", "1"],
         ["sixpoint", "--shift", "sie", "--window", "1"],
         ["embed", "--kind", "classical", "--base", "bergman", "--window", "2"],
+        ["restrict", "--shift", "sie", "--m", "2", "--n", "1", "--window", "3"],
         ["power", "--shift", "sie", "--m", "2", "--n", "1", "--window", "1"],
         ["decompose", "--shift", "bergman", "--m", "2", "--window", "2"],
         ["curto-park", "--measure", "three_atoms", "--m", "2"],
         ["recursion", "--moments", "1,1/2,1/4"],
         ["pushforward", "--measure", "three_atoms", "--p", "0,1", "--q", "1"],
         ["marginal", "--measure", "planar", "--axis", "y"],
+        ["recover", "--shift", "helton_howe", "--atoms", "1", "--window", "2"],
         ["spherical-check", "--shift", "sie", "--window", "1"],
         ["threshold", "--family", "family", "--op", "khypo1", "--window", "2",
          "--precision", "4"],
@@ -793,10 +907,14 @@ def test_fixtures_worked_examples_pass(runner):
     ids=lambda args: args[0],
 )
 def test_report_names_its_command(runner, files, args):
-    result = runner.invoke(main, [files.get(arg, arg) for arg in args])
+    argv = [files.get(arg, arg) for arg in args]
+    result = runner.invoke(main, argv)
     assert result.exit_code in (0, 2)
-    assert _payload(result)["command"] == args[0]
-    csv = runner.invoke(main, [*(files.get(arg, arg) for arg in args), "--csv"])
+    payload = _payload(result)
+    assert sorted(payload) == ["command", "inputs", "params", "result"]
+    assert payload["command"] == args[0]
+    csv = runner.invoke(main, [*argv, "--csv"])
+    assert csv.exit_code == result.exit_code
     assert f"command,{args[0]}\n" in csv.stdout
 
 

@@ -12,7 +12,7 @@ from shiftlab.descriptors import (
     shift2d_to_descriptor,
 )
 from shiftlab.errors import DescriptorError
-from shiftlab.shift1d import bergman
+from shiftlab.shift1d import bergman, from_measure
 from shiftlab.shift2d import sie_bergman
 
 
@@ -59,6 +59,60 @@ def test_measure2d_kinds():
     )
     assert atomic.moment(1, 0) == F(1, 2)
     assert measure_to_descriptor(atomic)["kind"] == "atomic2d"
+
+
+PREFIX_TABLE = {"kind": "prefix_table", "moments": ["1", "1/2", "1/3", "1/4"],
+                "support_bound": "1"}
+MEASURES_1D = [
+    {"kind": "atomic1d", "atoms": ["1/3", "1"], "densities": ["1/4", "3/4"]},
+    {"kind": "lebesgue01"},
+    {"kind": "beta", "j": 3},
+    PREFIX_TABLE,
+]
+
+
+@pytest.mark.parametrize("data", MEASURES_1D, ids=lambda data: data["kind"])
+def test_measure1d_descriptor_round_trip(data):
+    mu = measure1d_from_descriptor(data)
+    assert measure_to_descriptor(mu) == data
+    again = measure1d_from_descriptor(measure_to_descriptor(mu))
+    assert [again.moment(k) for k in range(4)] == [mu.moment(k) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "arclength_segment01"},
+        {"kind": "pushforward", "p": ["0", "1"], "q": ["1", "-1"],
+         "base": {"kind": "lebesgue01"}},
+        {"kind": "pushforward", "p": ["0", "1/2", "1/3"], "q": ["1", "-2/3"],
+         "base": {"kind": "beta", "j": 3}},
+        {"kind": "pushforward", "p": ["0", "1"], "q": ["1"], "base": PREFIX_TABLE},
+    ],
+    ids=["arclength_segment01", "pushforward-lebesgue01", "pushforward-beta",
+         "pushforward-prefix_table"],
+)
+def test_measure2d_descriptor_round_trip(data):
+    mu = measure2d_from_descriptor(data)
+    assert measure_to_descriptor(mu) == data
+    again = measure2d_from_descriptor(measure_to_descriptor(mu))
+    # the prefix table holds moments 0..3, so p = r, q = 1 reads i <= 3
+    cells = [(i, j) for i in range(4) for j in range(3)]
+    assert [again.moment(i, j) for i, j in cells] == [mu.moment(i, j) for i, j in cells]
+
+
+@pytest.mark.parametrize("measure", MEASURES_1D, ids=lambda data: data["kind"])
+def test_shift1d_from_measure_descriptor_round_trip(measure):
+    shift = from_measure(measure1d_from_descriptor(measure))
+    data = shift1d_to_descriptor(shift)
+    assert data == {
+        "prefix_sq": [],
+        "tail": {"kind": "from_measure", "measure": measure},
+        "norm_bound_sq": "1",
+    }
+    again = shift1d_from_descriptor(data)
+    assert shift1d_to_descriptor(again) == data
+    assert [again.moment(k) for k in range(4)] == [shift.moment(k) for k in range(4)]
 
 
 def test_measure_errors_carry_paths():

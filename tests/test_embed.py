@@ -306,6 +306,22 @@ def test_poly_embed_zero_moment_path():
         spherical_embed_measure(delta1, 1, 4)
 
 
+@pytest.mark.parametrize("c", [0, -1, F(-1, 2)])
+@pytest.mark.parametrize(
+    "sigma",
+    [THREE_ATOMS, Lebesgue01(), AtomicMeasure1D((0,), (1,))],
+    ids=["three_atoms", "lebesgue01", "point_at_0"],
+)
+def test_spherical_measure_route_rejects_a_nonpositive_c(sigma, c):
+    # the same error as the row-0 route, before any polynomial is checked
+    with pytest.raises(ValueError) as err:
+        spherical_embed_measure(sigma, c, 3)
+    assert str(err.value) == "c must be positive"
+    with pytest.raises(ValueError) as err:
+        spherical_embed_iterative(bergman(), c, 3)
+    assert str(err.value) == "c must be positive"
+
+
 # -- iterative constant-sum construction ------------------------------------------
 
 
