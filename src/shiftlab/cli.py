@@ -123,10 +123,10 @@ def _flatten(value, prefix, rows):
 def _emit(payload: dict, as_csv: bool):
     body = _jsonify(payload, _denom_limit())
     if as_csv:
+        import csv  # loaded only here, so that a JSON report does not pay for it
         rows = []
         _flatten(body, "", rows)
-        out = "".join(f"{key},{value}\n" for key, value in rows)
-        sys.stdout.write(out)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         sys.stdout.write(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
@@ -552,13 +552,15 @@ def threshold(family_file, op, k, window, power, restriction, precision, candida
               as_csv):
     """Bisect a monotone positivity threshold over the family parameter."""
     data = _load(family_file)
+    power = _int_tuple(power, "power", 2)
+    restriction = _int_tuple(restriction, "restriction", 4)
     query = query_from_descriptor(
         data,
         op=op,
         k=k,
         window=window,
-        power=_int_tuple(power, "power", 2),
-        restriction=_int_tuple(restriction, "restriction", 4),
+        power=power,
+        restriction=restriction,
         precision=precision,
         candidate=None if candidate is None else _rational_option(candidate, "candidate"),
     )

@@ -19,7 +19,6 @@ from .shift1d import Shift1D
 from .shift2d import Moment2Table, Shift2D, moments, spherical_check
 
 STALL_BETA_NONPOSITIVE = "beta_nonpositive"
-STALL_DIVISION_BY_ZERO = "division_by_zero"
 STALL_ROW0_NOT_INCREASING = "row0_not_strictly_increasing"
 
 
@@ -139,12 +138,7 @@ def spherical_embed_iterative(
             beta_row.append(b)
         beta_rows.append(beta_row)
         if j < window - 1:
-            nxt = []
-            for k in range(length - j - 1):
-                if beta_row[k] == 0:
-                    return StallReport(True, (k, j), STALL_DIVISION_BY_ZERO, None)
-                nxt.append(current[k] * beta_row[k + 1] / beta_row[k])
-            alpha_rows.append(nxt)
+            alpha_rows.append([a * b1 / b0 for a, b0, b1 in zip(current, beta_row, beta_row[1:])])
     alpha = [[alpha_rows[j][i] for j in range(window)] for i in range(window)]
     beta = [[beta_rows[j][i] for j in range(window)] for i in range(window)]
     return Shift2D(alpha, beta)

@@ -47,6 +47,8 @@ THREE_ATOMS = AtomicMeasure1D((F(1, 3), F(1, 2), 1), (F(1, 3), F(1, 3), F(1, 3))
 EMBEDDING_WINDOW = 15  # base-point sweep bound u1 + u2 <= 15
 COMPONENT_WINDOW = 6  # per-component sweep bound for power checks
 STEP = F(1, 100)  # confirmation margin above each exact boundary
+SUITE_TRIALS = 20  # random draws per seeded suite, except the PSD cross-check
+PSD_TRIALS = 50  # random matrices in the PSD cross-check
 
 
 @dataclass(frozen=True)
@@ -294,7 +296,7 @@ def _random_atomic(rng, n_atoms, lo=F(0), hi=F(1)) -> AtomicMeasure1D:
     )
 
 
-def hyponormality_agreement_suite(seed=0, count=20) -> FixtureResult:
+def hyponormality_agreement_suite(seed=0) -> FixtureResult:
     """1-variable Hankel positivity agrees with the diagonal-embedding
     positivity for k = 1, 2, 3 on random measure-backed shifts plus
     perturbations of them. Each trial walks its embedding's grid to one
@@ -303,7 +305,7 @@ def hyponormality_agreement_suite(seed=0, count=20) -> FixtureResult:
     window = 8
     grid = grid_reach(3, window)  # the k = 3 sweep reaches farthest
     mismatches = []
-    for trial in range(count):
+    for trial in range(SUITE_TRIALS):
         sigma = _random_atomic(rng, rng.randint(2, 4), F(1, 20), F(1))
         prefix = from_measure(sigma).weights_sq(2 * grid - 1)
         if trial % 3 == 2:
@@ -317,19 +319,19 @@ def hyponormality_agreement_suite(seed=0, count=20) -> FixtureResult:
             if one != two:
                 mismatches.append((trial, k, one, two))
     return _result(
-        f"1-D/2-D positivity agreement on {count} random shifts",
+        f"1-D/2-D positivity agreement on {SUITE_TRIALS} random shifts",
         not mismatches,
         f"mismatches {mismatches}" if mismatches else "all verdicts agree",
     )
 
 
-def spherical_route_agreement_suite(seed=0, count=20) -> FixtureResult:
+def spherical_route_agreement_suite(seed=0) -> FixtureResult:
     """Iterative and measure-route constant-sum embeddings agree entrywise
     for random atomic measures inside (0, 1)."""
     rng = random.Random(seed + 1)
     window = 5
     failures = []
-    for trial in range(count):
+    for trial in range(SUITE_TRIALS):
         sigma = _random_atomic(rng, rng.randint(2, 4), F(1, 24), F(23, 24))
         iterative = spherical_embed_iterative(from_measure(sigma), 1, window)
         if isinstance(iterative, StallReport):
@@ -345,18 +347,18 @@ def spherical_route_agreement_suite(seed=0, count=20) -> FixtureResult:
         if not same:
             failures.append((trial, "grid mismatch", sigma.atoms))
     return _result(
-        f"iterative vs measure-route equality on {count} random measures",
+        f"iterative vs measure-route equality on {SUITE_TRIALS} random measures",
         not failures,
         f"failures {failures}" if failures else "grids identical",
     )
 
 
-def psd_cross_check_suite(seed=0, count=50) -> FixtureResult:
+def psd_cross_check_suite(seed=0) -> FixtureResult:
     """The LDL^T PSD test agrees with brute-force principal minors on
     random symmetric 4x4 rational matrices."""
     rng = random.Random(seed + 2)
     mismatches = 0
-    for trial in range(count):
+    for trial in range(PSD_TRIALS):
         if trial % 5 == 4:
             # random Gram matrix: guaranteed PSD
             a = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)]
@@ -376,18 +378,18 @@ def psd_cross_check_suite(seed=0, count=50) -> FixtureResult:
         if psd_test(matrix).is_psd != psd_test_minors(matrix):
             mismatches += 1
     return _result(
-        f"PSD certificate vs principal minors on {count} random matrices",
+        f"PSD certificate vs principal minors on {PSD_TRIALS} random matrices",
         mismatches == 0,
         f"{mismatches} mismatches",
     )
 
 
-def marginal_coherence_suite(seed=0, count=20) -> FixtureResult:
+def marginal_coherence_suite(seed=0) -> FixtureResult:
     """Marginals of atomic pushforwards equal the single-coordinate
     pushforwards, collisions merged, for random measure/polynomial pairs."""
     rng = random.Random(seed + 3)
     failures = 0
-    for _ in range(count):
+    for _ in range(SUITE_TRIALS):
         sigma = _random_atomic(rng, rng.randint(1, 3))
         # nonnegative coefficients keep both polynomials nonnegative on [0, 1]
         p = RationalPolynomial(
@@ -406,7 +408,7 @@ def marginal_coherence_suite(seed=0, count=20) -> FixtureResult:
         if marginal(mu, "x") != x_direct or marginal(mu, "y") != y_direct:
             failures += 1
     return _result(
-        f"pushforward/marginal coherence on {count} random pairs",
+        f"pushforward/marginal coherence on {SUITE_TRIALS} random pairs",
         failures == 0,
         f"{failures} failures",
     )

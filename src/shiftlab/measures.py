@@ -244,31 +244,21 @@ class Pushforward2D:
         )
         self._p_int, self._p_den = integer_scaled(p.coefficients)
         self._q_int, self._q_den = integer_scaled(q.coefficients)
-        self._base_num = []  # W_i: base moment i times _base_den
-        self._base_den = 1  # L
 
-    def _base_moments(self, count: int) -> list:
-        """W_0..W_{count-1}, reading only the base moments not yet read."""
-        have = len(self._base_num)
-        if count > have:
-            fresh = [self.base.moment(i) for i in range(have, count)]
-            den = math.lcm(self._base_den, *(m.denominator for m in fresh))
-            scale = den // self._base_den
-            self._base_num = [w * scale for w in self._base_num]
-            self._base_num += [m.numerator * (den // m.denominator) for m in fresh]
-            self._base_den = den
-        return self._base_num
+    def _base_moments(self, count: int) -> tuple:
+        """([W_0, ..., W_{count-1}], L): base moment i is W_i / L."""
+        return integer_scaled([self.base.moment(i) for i in range(count)])
 
     def scaled_table(self, window: int) -> tuple:
         """(rows, d): moment(k1, k2) == rows[k1][k2] / d for 0 <= k1, k2 <= window.
 
         Over d = L d_p^window d_q^window the cell is (sum of c_i W_i)
         d_p^(window - k1) d_q^(window - k2). Every base moment the table
-        needs is read up front, so L is fixed; each row then walks from
+        needs is read once, up front; each row then walks from
         P^k1 with one multiply by Q per cell, holding one expansion at a time.
         """
         p, q = self._p_int, self._q_int
-        weights = self._base_moments(sum(window * (len(f) - 1) for f in (p, q) if f) + 1)
+        weights, base_den = self._base_moments(sum(window * (len(f) - 1) for f in (p, q) if f) + 1)
         p_scale = [self._p_den ** (window - k) for k in range(window + 1)]
         q_scale = [self._q_den ** (window - k) for k in range(window + 1)]
         rows, start = [], [1]
@@ -281,7 +271,7 @@ class Pushforward2D:
                     poly = _int_poly_mul(poly, q)
                 row.append(sum(map(operator.mul, poly, weights)) * p_scale[k1] * q_scale[k2])
             rows.append(tuple(row))
-        return tuple(rows), self._base_den * p_scale[0] * q_scale[0]
+        return tuple(rows), base_den * p_scale[0] * q_scale[0]
 
     def moment(self, k1: int, k2: int) -> Fraction:
         if k1 < 0 or k2 < 0:
@@ -290,10 +280,10 @@ class Pushforward2D:
         for factor, power in ((self._p_int, k1), (self._q_int, k2)):
             for _ in range(power):
                 poly = _int_poly_mul(poly, factor)
-        weights = self._base_moments(len(poly))
+        weights, base_den = self._base_moments(len(poly))
         return Fraction(
             sum(map(operator.mul, poly, weights)),
-            self._base_den * self._p_den**k1 * self._q_den**k2,
+            base_den * self._p_den**k1 * self._q_den**k2,
         )
 
 

@@ -25,7 +25,6 @@ from .exactcore import (
     as_rational,
     fraction_rows,
     homogeneous_horner,
-    integer_scaled,
     numerator_denominator,
     psd_test,
     scale_rows,
@@ -54,13 +53,9 @@ class BivariatePoly:
     def __post_init__(self):
         rows = tuple(tuple(as_rational(c) for c in row) for row in self.coefficients)
         object.__setattr__(self, "coefficients", rows)
-        flat, den = integer_scaled([c for row in rows for c in row])
         width = max(map(len, rows), default=0)
-        int_rows, at = [], 0
-        for row in rows:
-            int_rows.append(tuple(flat[at:at + len(row)]) + (0,) * (width - len(row)))
-            at += len(row)
-        object.__setattr__(self, "_int_rows", tuple(int_rows))
+        int_rows, den = scale_rows([row + (0,) * (width - len(row)) for row in rows])
+        object.__setattr__(self, "_int_rows", int_rows)
         object.__setattr__(self, "_den", den)
 
     def __call__(self, k1, k2) -> Fraction:
@@ -73,27 +68,18 @@ class BivariatePoly:
 
     def specialize_k2(self, value) -> RationalPolynomial:
         """Fix k2; the result is a univariate polynomial in k1."""
-        value = as_rational(value)
-        coeffs = []
-        for row in self.coefficients:
-            acc = Fraction(0)
-            p2 = Fraction(1)
-            for c in row:
-                acc += c * p2
-                p2 *= value
-            coeffs.append(acc)
-        return RationalPolynomial(tuple(coeffs))
+        return self._specialize(self._int_rows, value)
 
     def specialize_k1(self, value) -> RationalPolynomial:
-        value = as_rational(value)
-        width = max((len(row) for row in self.coefficients), default=0)
-        coeffs = [Fraction(0)] * width
-        p1 = Fraction(1)
-        for row in self.coefficients:
-            for j, c in enumerate(row):
-                coeffs[j] += c * p1
-            p1 *= value
-        return RationalPolynomial(tuple(coeffs))
+        """Fix k1; the result is a univariate polynomial in k2."""
+        return self._specialize(tuple(zip(*self._int_rows)), value)
+
+    def _specialize(self, lines, value) -> RationalPolynomial:
+        """The polynomial whose i-th coefficient is integer line i at value."""
+        a, b = numerator_denominator(value)
+        return RationalPolynomial(tuple(
+            Fraction(homogeneous_horner(line, a, b), self._den * b ** len(line)) for line in lines
+        ))
 
 
 @dataclass(frozen=True)
@@ -722,8 +708,13 @@ def col(shift: Shift2D, i: int) -> Shift1D:
 
 def spherical_check(shift: Shift2D, window: Optional[int] = None) -> Optional[Fraction]:
     """Return c when alpha_sq + beta_sq equals the constant c at every grid
-    point of the window, cross-checked by the moment identity
-    gamma(k+e1) + gamma(k+e2) = c * gamma(k); otherwise None.
+    point of the window; otherwise None.
+
+    The moment identity gamma(k+e1) + gamma(k+e2) = c * gamma(k) then holds
+    too, since every ``moments`` table satisfies gamma(k+e1) = alpha_sq(k)
+    gamma(k) and gamma(k+e2) = beta_sq(k) gamma(k). A window past the grid
+    reads the rule there, so the moments are walked through it, and a rule
+    that does not commute raises ``CommutativityViolation``.
     """
     size = shift.window if window is None else window + 1
     c = shift.alpha_sq(0, 0) + shift.beta_sq(0, 0)
@@ -731,9 +722,6 @@ def spherical_check(shift: Shift2D, window: Optional[int] = None) -> Optional[Fr
         for j in range(size):
             if shift.alpha_sq(i, j) + shift.beta_sq(i, j) != c:
                 return None
-    table = moments(shift, size - 1)
-    for i in range(size - 1):
-        for j in range(size - 1):
-            if table.at(i + 1, j) + table.at(i, j + 1) != c * table.at(i, j):
-                return None
+    if size > shift.window:
+        moments(shift, size - 1)
     return c

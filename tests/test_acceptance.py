@@ -93,10 +93,10 @@ def test_criterion_09_stall_regression():
 def test_criterion_10_randomized_suites():
     start = time.perf_counter()
     results = [
-        hyponormality_agreement_suite(seed=0, count=20),
-        spherical_route_agreement_suite(seed=0, count=20),
-        psd_cross_check_suite(seed=0, count=50),
-        marginal_coherence_suite(seed=0, count=20),
+        hyponormality_agreement_suite(seed=0),
+        spherical_route_agreement_suite(seed=0),
+        psd_cross_check_suite(seed=0),
+        marginal_coherence_suite(seed=0),
     ]
     elapsed = time.perf_counter() - start
     for item in results:

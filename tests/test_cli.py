@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 import os
 import subprocess
@@ -638,6 +640,55 @@ def test_spherical_measure_route_rejects_a_nonpositive_c(runner, files, tmp_path
     assert result.stderr == "error: c must be positive\n"
 
 
+ONES_2X2 = {"alpha_sq": [[1, 1], [1, 1]], "beta_sq": [[1, 1], [1, 1]], "window": 2}
+FLAT_FAMILY = {"parameter": "x", "lo": "1/2", "hi": "1/2", "shift": {"prefix_sq": ["x"]}}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["khypo2", "--shift", ONES_2X2, "--restriction", "2,1,1,0", "--window", "0"],
+         "window 2 cannot host a (2,1) restriction at (1,0)"),
+        (["recursion"], "$: recursion needs --moments or --shift"),
+        (["threshold", "--family", FLAT_FAMILY], "need lo < hi"),
+        (["curto-park", "--measure", {"kind": "lebesgue01"}, "--m", "2"],
+         "$: curto-park needs an atomic1d measure"),
+        (["marginal", "--measure", {"kind": "arclength_segment01"}, "--axis", "x"],
+         "$: marginal needs an atomic2d measure"),
+    ],
+    ids=["restriction-past-the-grid", "recursion-without-input", "threshold-empty-bracket",
+         "curto-park-continuous", "marginal-continuous"],
+)
+def test_error_line(runner, tmp_path, args, message):
+    argv = []
+    for i, arg in enumerate(args):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        argv.append(arg)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_recursion_from_a_shift(runner, files):
+    result = runner.invoke(main, ["recursion", "--shift", files["bergman"], "--count", "6"])
+    assert result.exit_code == 0
+    payload = _payload(result)
+    assert payload["inputs"] == {"shift": {"kind": "bergman"}, "count": 6}
+    body = payload["result"]
+    # six moments 1/(n + 1) determine an order-3 recursion and leave no
+    # seventh to test it against, so the Bergman shift reads as recursive
+    assert (body["found"], body["order"], body["atoms"]) == (True, 3, None)
+    assert body["coefficients"] == ["1/20", "-3/5", "3/2"]
+    assert body["generating_poly"] == ["-1/20", "3/5", "-3/2", "1"]
+    coefficients = [F(c) for c in body["coefficients"]]
+    for n in range(3):
+        assert sum(c * F(1, n + i + 1) for i, c in enumerate(coefficients)) == F(1, n + 4)
+
+
 def test_schema_error_exit_code(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"prefix_sq": ')
@@ -675,16 +726,25 @@ def test_deeply_nested_coefficient_option_is_an_error(runner, files):
     assert result.stderr.startswith("error: $: --p must be a rational like 49/90, got '[[[")
 
 
-def test_cli_import_leaves_out_mpmath():
+def _loaded_by_cli_import(module):
     src = os.path.dirname(os.path.dirname(shiftlab.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, shiftlab.cli; print('mpmath' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, shiftlab.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_mpmath():
+    assert not _loaded_by_cli_import("mpmath")
+
+
+def test_cli_import_leaves_out_csv():
+    # only a --csv report needs the csv module
+    assert not _loaded_by_cli_import("csv")
 
 
 def test_console_script_entry_point():
@@ -883,6 +943,18 @@ def test_fixtures_worked_examples_pass(runner):
     assert result.stdout.splitlines()[-1] == "16/16 fixtures passed"
 
 
+def _flattened(value, prefix=""):
+    """The (key, value) rows of a JSON report, in the order --csv writes them."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _flattened(value[key], f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flattened(item, f"{prefix}[{i}]")
+    else:
+        yield [prefix, "" if value is None else str(value)]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -913,9 +985,38 @@ def test_report_names_its_command(runner, files, args):
     payload = _payload(result)
     assert sorted(payload) == ["command", "inputs", "params", "result"]
     assert payload["command"] == args[0]
-    csv = runner.invoke(main, [*argv, "--csv"])
-    assert csv.exit_code == result.exit_code
-    assert f"command,{args[0]}\n" in csv.stdout
+    flat = runner.invoke(main, [*argv, "--csv"])
+    assert flat.exit_code == result.exit_code
+    assert f"command,{args[0]}\n" in flat.stdout
+    # the CSV reads back as two fields a row: the flattened JSON report
+    assert list(csv.reader(io.StringIO(flat.stdout))) == list(_flattened(payload))
+
+
+def test_csv_quotes_a_key_that_holds_a_comma(runner, files):
+    result = runner.invoke(main, ["power", "--shift", files["classical_grid"], "--m", "2",
+                                  "--n", "1", "--window", "1", "--csv"])
+    assert result.exit_code == 0
+    assert '"result.components.0,0.holds",True\n' in result.stdout
+
+
+@pytest.mark.parametrize(
+    "option, text, echo",
+    [("--power", "2,1", [2, 1]), ("--restriction", "2,1,0,0", [2, 1, 0, 0])],
+    ids=["power", "restriction"],
+)
+def test_threshold_echoes_power_and_restriction_as_khypo2_does(runner, files, option, text,
+                                                               echo):
+    name = option[2:]
+    khypo2 = runner.invoke(main, ["khypo2", "--shift", files["sie"], "--window", "1",
+                                  option, text])
+    threshold = runner.invoke(main, ["threshold", "--family", files["family"], "--window", "1",
+                                     "--precision", "4", option, text])
+    assert khypo2.exit_code == threshold.exit_code == 0
+    assert _payload(khypo2)["params"][name] == _payload(threshold)["params"][name] == echo
+    flat = runner.invoke(main, ["threshold", "--family", files["family"], "--window", "1",
+                                "--precision", "4", option, text, "--csv"])
+    lines = [f"params.{name}[{i}],{v}\n" for i, v in enumerate(echo)]
+    assert "".join(lines) in flat.stdout
 
 
 @pytest.mark.parametrize(

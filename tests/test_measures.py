@@ -266,6 +266,13 @@ def test_pushforward_memo_survives_a_failed_cell():
     assert oracle.moment(1, 0) == F(1, 2)
 
 
+def test_pushforward_scaled_table_does_not_depend_on_earlier_reads():
+    fresh = Pushforward2D(THREE_ATOMS, R, P(1, -1)).scaled_table(2)
+    oracle = Pushforward2D(THREE_ATOMS, R, P(1, -1))
+    oracle.moment(6, 6)
+    assert oracle.scaled_table(2) == fresh
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_pushforward_oracle_equals_atomic_image_measure(seed):
     rng = random.Random(seed)

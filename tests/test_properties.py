@@ -46,22 +46,22 @@ CORPUS = [
 
 
 def test_hyponormality_agreement_suite():
-    result = hyponormality_agreement_suite(seed=0, count=20)
+    result = hyponormality_agreement_suite(seed=0)
     assert result.passed, result.detail
 
 
 def test_spherical_route_agreement_suite():
-    result = spherical_route_agreement_suite(seed=0, count=20)
+    result = spherical_route_agreement_suite(seed=0)
     assert result.passed, result.detail
 
 
 def test_psd_cross_check_suite():
-    result = psd_cross_check_suite(seed=0, count=50)
+    result = psd_cross_check_suite(seed=0)
     assert result.passed, result.detail
 
 
 def test_marginal_coherence_suite():
-    result = marginal_coherence_suite(seed=0, count=20)
+    result = marginal_coherence_suite(seed=0)
     assert result.passed, result.detail
 
 

@@ -298,6 +298,16 @@ def test_bivariate_poly_matches_term_by_term_evaluation(rows):
             assert value == reference_eval(rows, k1, k2), (k1, k2)
 
 
+@pytest.mark.parametrize("rows", BIVARIATE_ROWS)
+def test_bivariate_poly_specializations_match_term_by_term_evaluation(rows):
+    poly = BivariatePoly(rows)
+    for value in ARGUMENTS:
+        by_k1, by_k2 = poly.specialize_k1(value), poly.specialize_k2(value)
+        for other in ARGUMENTS:
+            assert by_k1(other) == reference_eval(rows, value, other), (value, other)
+            assert by_k2(other) == reference_eval(rows, other, value), (other, value)
+
+
 def test_bivariate_poly_rejects_float_arguments():
     with pytest.raises(TypeError):
         BivariatePoly(((1, 1),))(0.5, 1)
@@ -954,3 +964,15 @@ def test_spherical_check_values():
     )
     assert spherical_check(scaled) == 4
     assert spherical_check(classical_embed(bergman(), 8)) is None
+
+
+def test_spherical_check_walks_the_moments_past_the_grid_only():
+    # alpha + beta = 1 everywhere, but the rule does not commute:
+    # alpha(0,0) beta(1,0) = 1/4 while beta(0,0) alpha(0,1) = 1/3
+    k2_plus_2 = ((2, 1),)
+    rule = _rule(K2_PLUS_1, k2_plus_2, ONE, k2_plus_2)
+    shift = Shift2D.from_rule(rule, 1)
+    assert spherical_check(shift) == 1
+    with pytest.raises(CommutativityViolation) as err:
+        spherical_check(shift, 3)
+    assert err.value.point == (0, 0)
